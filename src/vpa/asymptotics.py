@@ -25,7 +25,8 @@ import numpy as np
 
 from .certificates import rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ClassifyError, DivergenceError, InfeasiblePointError, TraceError
+from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
+                     ProjectionError, TraceError)
 from .problem import (Problem, RaySample, check_feasible, polish_to_slice,
                       project_to_sphere_slice)
 from .solvers import minimize_auglag, random_unit_vector, simplex_lattice
@@ -171,37 +172,22 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     g0 = weights @ prob.jac_f(start)
     obj_scale = 1.0 + float(np.max(np.abs(g0))) if g0.size else 1.0
 
-    def objective(x):
-        val = float(weights @ prob.f(x)) / obj_scale
-        grad = (weights @ prob.jac_f(x)) / obj_scale
-        return val, grad
-
-    def equalities(x):
-        gv = prob.g(x)
+    def evaluate(x):
+        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
         sphere = (float(x @ x) - r * r) / (2.0 * r * r)
-        vals = np.concatenate([gv, [sphere]])
-        jac = np.vstack([prob.jac_g(x), (x / (r * r))[None, :]])
-        return vals, jac
-
-    def inequalities(x):
-        hv = prob.h(x)
-        Jh = prob.jac_h(x)
-        if not finite:
-            return hv, Jh
-        Jf = prob.jac_f(x)
-        fv = prob.f(x)
         rows = [hv] + [[y - fv[k]] for k, y in finite]
         jacs = [Jh] + [-Jf[k][None, :] for k, _ in finite]
-        return np.concatenate(rows), np.vstack(jacs)
+        return (float(weights @ fv) / obj_scale, (weights @ Jf) / obj_scale,
+                np.concatenate([gv, [sphere]]),
+                np.vstack([Jg, (x / (r * r))[None, :]]),
+                np.concatenate(rows), np.vstack(jacs))
 
     # the loose tier scales with r: degenerate constraint sets keep the raw
     # violation above tol_feas at large radii no matter the penalty; the
     # Gauss-Newton polish and the final absolute acceptance gate restore
     # record-level accuracy afterwards
     return minimize_auglag(
-        objective, start,
-        equalities=equalities,
-        inequalities=inequalities if (prob.m or finite) else None,
+        evaluate, start,
         tol_feas=cfg.tol_feas,
         tol_feas_loose=cfg.tol_feas * max(1.0, r),
         gtol=1e-9,
@@ -354,28 +340,22 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
     obj_scale = 1.0 + float(np.max(np.abs(g0))) if g0.size else 1.0
 
     probe = x0 if active_from is None else np.asarray(active_from, dtype=float)
-    hv0 = prob.h(probe)
-    fv0 = prob.f(probe)
+    fv0, _, hv0, _, _, _ = prob.evaluate(probe)
     window = max(cfg.tol_active, cfg.tol_feas * max(1.0, r) * 10.0)
     active_h = [j for j in range(prob.m) if hv0[j] <= window * (1.0 + abs(hv0[j]))]
     active_cut = [k for k, y in finite
                   if (y - fv0[k]) <= window * max(1.0, abs(y))]
 
-    def obj_grad_hess(x):
-        grad = (weights @ prob.jac_f(x)) / obj_scale
-        H = sum(w * poly.hessian_at(x)
-                for w, poly in zip(weights, prob.objectives)) / obj_scale
-        return grad, H
+    def obj_hess(x):
+        return sum(w * poly.hessian_at(x)
+                   for w, poly in zip(weights, prob.objectives)) / obj_scale
 
     def solve_for(active_h, active_cut, x_start):
         def constraint_rows(x):
+            """Objective gradient and the active constraints' values,
+            Jacobian rows and Hessians at x."""
             vals, jacs, hess = [], [], []
-            Jf = prob.jac_f(x)
-            Jg = prob.jac_g(x)
-            Jh = prob.jac_h(x)
-            gv = prob.g(x)
-            hv = prob.h(x)
-            fv = prob.f(x)
+            fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
             for i, poly in enumerate(prob.equalities):
                 vals.append(gv[i])
                 jacs.append(Jg[i])
@@ -391,19 +371,18 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
                 vals.append(ybar[k] - fv[k])
                 jacs.append(-Jf[k])
                 hess.append(-prob.objectives[k].hessian_at(x))
-            return (np.array(vals), np.array(jacs).reshape(len(vals), n), hess)
+            return ((weights @ Jf) / obj_scale, np.array(vals),
+                    np.array(jacs).reshape(len(vals), n), hess)
 
-        vals0, jacs0, _ = constraint_rows(x_start)
-        grad0, _ = obj_grad_hess(x_start)
+        grad0, vals0, jacs0, _ = constraint_rows(x_start)
         lam0 = np.linalg.lstsq(jacs0.T, grad0, rcond=None)[0]
         k = vals0.size
 
         def res_jac(z):
             x, lam = z[:n], z[n:]
-            vals, jacs, hess = constraint_rows(x)
-            grad, Hobj = obj_grad_hess(x)
+            grad, vals, jacs, hess = constraint_rows(x)
             stat = grad - jacs.T @ lam
-            Hlag = Hobj - sum(l * Hc for l, Hc in zip(lam, hess))
+            Hlag = obj_hess(x) - sum(l * Hc for l, Hc in zip(lam, hess))
             J = np.zeros((n + k, n + k))
             J[:n, :n] = Hlag
             J[:n, n:] = -jacs.T
@@ -479,7 +458,7 @@ def _chain_start(prob, r, prev, cfg, seed):
             r * random_unit_vector(np.random.default_rng([cfg.seed, *seed]), prob.n),
             cfg, seed=seed)
         return x, True
-    except Exception:
+    except ProjectionError:
         rng = np.random.default_rng([cfg.seed, 0xFA11, *seed])
         return r * random_unit_vector(rng, prob.n), False
 

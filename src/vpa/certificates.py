@@ -79,9 +79,8 @@ def _require_feasible(prob: Problem, x, cfg: RunConfig):
 def _gradient_blocks(prob: Problem, x, active):
     """Columns: objective gradients F (n,p), equality gradients G (n,l),
     active inequality gradients H (n,|A|)."""
-    F = prob.jac_f(x).T
-    G = prob.jac_g(x).T
-    Jh = prob.jac_h(x)
+    _, _, _, Jf, Jg, Jh = prob.evaluate(x)
+    F, G = Jf.T, Jg.T
     H = Jh[list(active), :].T if active else np.zeros((prob.n, 0))
     return F, G, H
 
@@ -234,7 +233,7 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
     x = prob._point(x)
     report = _require_feasible(prob, x, cfg)
     active = report.active
-    Jg = prob.jac_g(x)
+    _, _, _, _, Jg, Jh = prob.evaluate(x)
     l, n = prob.l, prob.n
 
     if l:
@@ -251,7 +250,7 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
         return MfcqReport(holds=True, gradient_rank=rank, witness=None,
                           margin=math.inf, active=active)
 
-    Jh = prob.jac_h(x)[list(active), :]
+    Jh = Jh[list(active), :]
     # stage 1: maximize s subject to Jg v = 0, Jh v >= s, |v|_inf <= 1
     c = np.zeros(n + 1)
     c[-1] = -1.0

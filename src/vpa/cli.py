@@ -76,6 +76,8 @@ def _parse_point(text: str, n: int) -> np.ndarray:
         raise InputError(f"--at expects comma-separated numbers, got {text!r}")
     if len(values) != n:
         raise InputError(f"--at has {len(values)} coordinates, problem has n={n}")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"--at coordinates must be finite, got {text!r}")
     return np.array(values)
 
 
@@ -108,12 +110,8 @@ def _resolve_ybar(args, file_ybar, p):
 
 def _cmd_eval(prob, ybar, point, cfg, outdir):
     report = check_feasible(prob, point, cfg.tol_feas, cfg.tol_active)
-    return {
-        "f": list(prob.f(point)),
-        "g": list(prob.g(point)),
-        "h": list(prob.h(point)),
-        "feasibility": report,
-    }
+    f, g, h, _, _, _ = prob.evaluate(point)
+    return {"f": list(f), "g": list(g), "h": list(h), "feasibility": report}
 
 
 def _cmd_rabier(prob, ybar, point, cfg, outdir):

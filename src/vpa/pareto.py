@@ -17,8 +17,8 @@ from .asymptotics import (TraceResult, below_ybar, classify, ray_to_trace,
                           trace_tangency)
 from .certificates import mfcq_probe, rabier_value
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (DivergenceError, RayError, SectionError, SolveError,
-                     TraceError, VpaError)
+from .errors import (ClassifyError, DivergenceError, RayError, SectionError,
+                     SolveError, TraceError, VpaError)
 from .problem import Problem, check_feasible, sample_feasible_ray
 from .solvers import minimize_auglag, simplex_lattice
 
@@ -102,19 +102,12 @@ def solve_scalarized(prob: Problem, weights, start,
             or np.any(weights < -1e-12):
         raise ValueError("weights must lie on the unit simplex")
 
-    def objective(x):
-        return float(weights @ prob.f(x)), weights @ prob.jac_f(x)
-
-    def equalities(x):
-        return prob.g(x), prob.jac_g(x)
-
-    def inequalities(x):
-        return prob.h(x), prob.jac_h(x)
+    def evaluate(x):
+        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
+        return float(weights @ fv), weights @ Jf, gv, Jg, hv, Jh
 
     res = minimize_auglag(
-        objective, np.asarray(start, dtype=float),
-        equalities=equalities if prob.l else None,
-        inequalities=inequalities if prob.m else None,
+        evaluate, np.asarray(start, dtype=float),
         tol_feas=cfg.tol_feas, gtol=1e-9,
         divergence_cap=cfg.divergence_cap,
     )
@@ -203,32 +196,21 @@ def _section_descent(prob: Problem, ybar, start, cfg: RunConfig):
     minimize t subject to x in S and f_k - ybar_k <= t for finite k."""
     finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
     n = prob.n
+    grad = np.zeros(n + 1)
+    grad[-1] = 1.0
 
-    def objective(z):
-        grad = np.zeros(n + 1)
-        grad[-1] = 1.0
-        return float(z[-1]), grad
-
-    def equalities(z):
-        vals = prob.g(z[:n])
-        jac = np.hstack([prob.jac_g(z[:n]), np.zeros((prob.l, 1))])
-        return vals, jac
-
-    def inequalities(z):
+    def evaluate(z):
         x, t = z[:n], z[-1]
-        hv = prob.h(x)
-        Jh = np.hstack([prob.jac_h(x), np.zeros((prob.m, 1))])
-        fv = prob.f(x)
-        Jf = prob.jac_f(x)
+        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
         rows = [hv] + [[t + y - fv[k]] for k, y in finite]
-        jacs = [Jh] + [np.append(-Jf[k], 1.0)[None, :] for k, _ in finite]
-        return np.concatenate(rows), np.vstack(jacs)
+        jacs = [np.hstack([Jh, np.zeros((prob.m, 1))])] \
+            + [np.append(-Jf[k], 1.0)[None, :] for k, _ in finite]
+        return (float(t), grad, gv, np.hstack([Jg, np.zeros((prob.l, 1))]),
+                np.concatenate(rows), np.vstack(jacs))
 
     z0 = np.append(np.asarray(start, dtype=float), 1.0)
     return minimize_auglag(
-        objective, z0,
-        equalities=equalities if prob.l else None,
-        inequalities=inequalities,
+        evaluate, z0,
         tol_feas=cfg.tol_feas, gtol=1e-9,
         divergence_cap=cfg.divergence_cap,
     )
@@ -395,24 +377,20 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
     if not finite:
         return "skipped"
 
-    def objective(x):
-        fv = prob.f(x)
-        Jf = prob.jac_f(x)
+    def evaluate(x):
+        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
         val = sum((fv[k] - y) ** 2 for k, y in finite)
         grad = np.zeros(prob.n)
         for k, y in finite:
             grad += 2.0 * (fv[k] - y) * Jf[k]
-        return float(val), grad
+        return float(val), grad, gv, Jg, hv, Jh
 
     rng = np.random.default_rng([cfg.seed, 0xB42])
     for attempt in range(4):
         start = np.ones(prob.n) if attempt == 0 else 2.0 * rng.standard_normal(prob.n)
         try:
             res = minimize_auglag(
-                objective, start,
-                equalities=(lambda x: (prob.g(x), prob.jac_g(x))) if prob.l else None,
-                inequalities=(lambda x: (prob.h(x), prob.jac_h(x))) if prob.m else None,
-                tol_feas=cfg.tol_feas, gtol=1e-10,
+                evaluate, start, tol_feas=cfg.tol_feas, gtol=1e-10,
                 divergence_cap=cfg.divergence_cap)
         except DivergenceError:
             continue
@@ -467,7 +445,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     try:
         verdicts = classify(prob, ybar, traces, cfg,
                             mfcq_holds=mfcq.holds, schedule=radii)
-    except Exception as exc:
+    except ClassifyError as exc:
         verdicts = {}
         notes.append(f"classification failed: {exc}")
 

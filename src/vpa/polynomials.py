@@ -247,14 +247,6 @@ def _format_term(exps: tuple, coeff: float) -> str:
     return "*".join([_format_coeff(coeff)] + factors)
 
 
-def gradient(p: Polynomial) -> tuple[Polynomial, ...]:
-    return p.gradient()
-
-
-def evaluate(p: Polynomial, x: Sequence[float]) -> float:
-    return p.evaluate(x)
-
-
 # -- parser -----------------------------------------------------------------
 #
 # expr   := term (('+'|'-') term)*

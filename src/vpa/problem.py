@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -38,10 +37,13 @@ class Problem:
         self.inequalities = tuple(self.inequalities)
         if len(self.objectives) < 1:
             raise ProblemValidationError("at least one objective is required")
-        for poly in (*self.objectives, *self.equalities, *self.inequalities):
+        polys = (*self.objectives, *self.equalities, *self.inequalities)
+        for poly in polys:
             if poly.num_vars != self.n:
                 raise ProblemValidationError(
                     f"polynomial has num_vars={poly.num_vars}, problem has n={self.n}")
+        self._exps, self._coeffs = _compile(polys, self.n)
+        self._cuts = (self.p, self.p + self.l, len(polys))
 
     @property
     def p(self) -> int:
@@ -61,44 +63,60 @@ class Problem:
             raise DimensionMismatchError(f"point has shape {x.shape}, expected ({self.n},)")
         return x
 
-    def f(self, x) -> np.ndarray:
+    def evaluate(self, x) -> tuple[np.ndarray, ...]:
+        """(f, g, h, Jf, Jg, Jh) at x from one product of the compiled table.
+
+        The blocks are views of one fresh vector; empty ones have shapes
+        (0,) and (0, n).
+        """
         x = self._point(x)
-        return np.array([poly.evaluate(x) for poly in self.objectives])
+        v = self._coeffs @ np.multiply.reduce(x ** self._exps, axis=1)
+        p, pl, rows = self._cuts
+        jac = v[rows:].reshape(rows, self.n)
+        return v[:p], v[p:pl], v[pl:rows], jac[:p], jac[p:pl], jac[pl:]
+
+    def f(self, x) -> np.ndarray:
+        return self.evaluate(x)[0]
 
     def g(self, x) -> np.ndarray:
-        x = self._point(x)
-        return np.array([poly.evaluate(x) for poly in self.equalities])
+        return self.evaluate(x)[1]
 
     def h(self, x) -> np.ndarray:
-        x = self._point(x)
-        return np.array([poly.evaluate(x) for poly in self.inequalities])
-
-    @cached_property
-    def _objective_grads(self):
-        return tuple(poly.gradient() for poly in self.objectives)
-
-    @cached_property
-    def _equality_grads(self):
-        return tuple(poly.gradient() for poly in self.equalities)
-
-    @cached_property
-    def _inequality_grads(self):
-        return tuple(poly.gradient() for poly in self.inequalities)
-
-    @staticmethod
-    def _jac(grads, x, n) -> np.ndarray:
-        if not grads:
-            return np.zeros((0, n))
-        return np.array([[g.evaluate(x) for g in row] for row in grads])
+        return self.evaluate(x)[2]
 
     def jac_f(self, x) -> np.ndarray:
-        return self._jac(self._objective_grads, self._point(x), self.n)
+        return self.evaluate(x)[3]
 
     def jac_g(self, x) -> np.ndarray:
-        return self._jac(self._equality_grads, self._point(x), self.n)
+        return self.evaluate(x)[4]
 
     def jac_h(self, x) -> np.ndarray:
-        return self._jac(self._inequality_grads, self._point(x), self.n)
+        return self.evaluate(x)[5]
+
+
+def _compile(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrix E (monomials x n) and coefficient matrix C for
+    `polys` and their first partials.
+
+    Row k of C holds polys[k]; row len(polys) + k*n + i holds the partial
+    of polys[k] in x_{i+1}, so C @ prod(x ** E, axis=1) stacks the values
+    and then the row-major Jacobian. Monomials are in ascending
+    lexicographic order.
+    """
+    entries = []
+    for k, poly in enumerate(polys):
+        for exps, coeff in poly.terms.items():
+            entries.append((k, exps, coeff))
+            for i, e in enumerate(exps):
+                if e:
+                    partial = exps[:i] + (e - 1,) + exps[i + 1:]
+                    entries.append((len(polys) + k * n + i, partial, coeff * e))
+    monomials = sorted({exps for _, exps, _ in entries})
+    column = {exps: j for j, exps in enumerate(monomials)}
+    coeffs = np.zeros((len(polys) * (n + 1), len(monomials)))
+    for row, exps, coeff in entries:
+        coeffs[row, column[exps]] = coeff
+    return np.array(monomials, dtype=np.int64).reshape(-1, n), coeffs
 
 
 @dataclass(frozen=True)
@@ -114,8 +132,7 @@ def check_feasible(prob: Problem, x, tol_feas: float = DEFAULT_CONFIG.tol_feas,
     """Violations are max_i |g_i(x)| and max_j max(0, -h_j(x))."""
     if tol_feas <= 0:
         raise ValueError("tol_feas must be positive")
-    gv = prob.g(x)
-    hv = prob.h(x)
+    _, gv, hv, _, _, _ = prob.evaluate(x)
     eq_viol = float(np.max(np.abs(gv))) if gv.size else 0.0
     ineq_viol = max(0.0, float(np.max(-hv))) if hv.size else 0.0
     active = tuple(int(j) for j in np.nonzero(np.abs(hv) <= tol_active)[0])
@@ -135,13 +152,10 @@ def _slice_residual(prob: Problem, r: float):
     stack at any radius; the zero set is unchanged.
     """
     def res_jac(x):
-        gv = prob.g(x)
-        hv = prob.h(x)
+        _, gv, hv, _, Jg, Jh = prob.evaluate(x)
         sphere = (float(x @ x) - r * r) / (2.0 * r * r)
         viol = np.maximum(0.0, -hv)
         res = np.concatenate([gv, [sphere], viol ** 2])
-        Jg = prob.jac_g(x)
-        Jh = prob.jac_h(x)
         rows = [Jg, (x / (r * r))[None, :]]
         if prob.m:
             rows.append(-2.0 * viol[:, None] * Jh)

@@ -153,7 +153,7 @@ class AuglagResult:
         return self.outcome == "converged"
 
 
-def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
+def minimize_auglag(evaluate, x0, *,
                     tol_feas: float = 1e-8, tol_feas_loose: float | None = None,
                     gtol: float = 1e-9, max_outer: int = 30, rho0: float = 10.0,
                     rho_growth: float = 10.0, rho_max: float = 1e12,
@@ -161,11 +161,13 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
                     divergence_cap: float | None = None) -> AuglagResult:
     """Powell-Hestenes-Rockafellar augmented Lagrangian with an L-BFGS-B core.
 
-    `objective(x)` returns (value, gradient). `equalities(x)` returns
-    (values, jacobian) targeting 0; `inequalities(x)` the same targeting
-    >= 0. Raises DivergenceError once iterates reach `divergence_cap` in
-    infinity norm. Stationarity is judged relative to the local gradient
-    scale, feasibility absolutely.
+    `evaluate(x)` returns (value, gradient, eq_values, eq_jacobian,
+    ineq_values, ineq_jacobian): the objective, the equalities targeting 0
+    and the inequalities targeting >= 0, with empty blocks of shapes (0,)
+    and (0, n); one call gives everything the solver needs at a point.
+    Raises DivergenceError once iterates reach `divergence_cap` in infinity
+    norm. Stationarity is judged relative to the local gradient scale,
+    feasibility absolutely.
 
     tol_feas is the target; tol_feas_loose (>= tol_feas) is a fallback
     acceptance when the budget runs out or the iterate stalls, for
@@ -177,18 +179,7 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
     n = x.size
     loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
 
-    def eq(xv):
-        if equalities is None:
-            return np.zeros(0), np.zeros((0, n))
-        return equalities(xv)
-
-    def ineq(xv):
-        if inequalities is None:
-            return np.zeros(0), np.zeros((0, n))
-        return inequalities(xv)
-
-    e0, _ = eq(x)
-    c0, _ = ineq(x)
+    _, _, e0, _, c0, _ = evaluate(x)
     y = np.zeros(e0.size)
     nu = np.zeros(c0.size)
     rho = rho0
@@ -204,10 +195,8 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
             parts.append(float(np.max(np.maximum(0.0, -cv))))
         return max(parts)
 
-    def al_value_grad(xv):
-        fval, fgrad = objective(xv)
-        ev, Je = eq(xv)
-        cv, Jc = ineq(xv)
+    def augmented(point):
+        fval, fgrad, ev, Je, cv, Jc = point
         val = fval
         grad = fgrad.copy()
         if ev.size:
@@ -224,10 +213,9 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
     stalled = 0
     feasible_stall = 0
     outcome = "iteration_limit"
-    result_x = x
     for outer in range(1, max_outer + 1):
-        res = scipy_minimize(al_value_grad, x, jac=True, method="L-BFGS-B",
-                             bounds=bounds,
+        res = scipy_minimize(lambda xv: augmented(evaluate(xv)), x,
+                             jac=True, method="L-BFGS-B", bounds=bounds,
                              options={"maxiter": inner_maxiter,
                                       "ftol": 1e-16, "gtol": 1e-12})
         x = np.asarray(res.x, dtype=float)
@@ -235,11 +223,10 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
             raise DivergenceError(
                 f"iterates reached the norm cap {bound:g}; "
                 "the subproblem is likely unbounded", point=x)
-        ev, Je = eq(x)
-        cv, Jc = ineq(x)
+        point = evaluate(x)
+        _, fgrad, ev, Je, cv, Jc = point
         viol = violation_of(ev, cv)
-        _, al_grad = al_value_grad(x)
-        fval, fgrad = objective(x)
+        _, al_grad = augmented(point)
         gscale = max(1.0, float(np.max(np.abs(fgrad))) if fgrad.size else 1.0)
         if Je.size:
             gscale = max(gscale, float(np.max(np.abs(Je))))
@@ -249,7 +236,6 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
 
         if viol <= tol_feas and stationarity <= gtol * gscale:
             outcome = "converged"
-            result_x = x
             break
         # stuck at an acceptable point: take it once the iterate stops moving
         # (covers degenerate geometry where constraint gradients vanish and
@@ -259,7 +245,6 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
             feasible_stall += 1
             if feasible_stall >= 2 and outer >= 3:
                 outcome = "converged"
-                result_x = x
                 break
         else:
             feasible_stall = 0
@@ -286,21 +271,17 @@ def minimize_auglag(objective, x0, *, equalities=None, inequalities=None,
                     stalled += 1
                     if stalled >= 2:
                         outcome = "infeasible"
-                        result_x = x
                         break
                 else:
                     stalled = 0
         prev_violation = viol
-        result_x = x
 
-    ev, _ = eq(result_x)
-    cv, _ = ineq(result_x)
+    fval, _, ev, _, cv, _ = point
     if outcome == "iteration_limit" and violation_of(ev, cv) <= loose:
         outcome = "converged"
-    fval, _ = objective(result_x)
-    _, al_grad = al_value_grad(result_x)
+    _, al_grad = augmented(point)
     return AuglagResult(
-        x=result_x,
+        x=x,
         objective=float(fval),
         outcome=outcome,
         violation=violation_of(ev, cv),

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from vpa import make_record
+from vpa import asymptotics, make_record
 from vpa.asymptotics import (TraceResult, classify, flatten_records,
                              trace_from_points, trace_tangency,
                              write_trace_csv)
-from vpa.errors import ClassifyError, TraceError
+from vpa.errors import ClassifyError, ProjectionError, TraceError
 
 INF = (math.inf, math.inf)
 
@@ -203,3 +203,25 @@ class TestCsvExport:
                            "below_ybar"]
         assert len(rows) == 3
         assert rows[1][8] in ("0", "1")
+
+
+class TestChainStart:
+    def test_projection_failure_falls_back_to_a_random_start(
+            self, monkeypatch, motzkin, light_config):
+        def fail(*args, **kwargs):
+            raise ProjectionError("no convergence")
+        monkeypatch.setattr(asymptotics, "project_to_sphere_slice", fail)
+        prob, _ = motzkin
+        x, projected = asymptotics._chain_start(prob, 10.0, None, light_config,
+                                                seed=[1, 2])
+        assert not projected
+        assert np.linalg.norm(x) == pytest.approx(10.0)
+
+    def test_bug_in_projection_propagates(self, monkeypatch, motzkin,
+                                          light_config):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+        monkeypatch.setattr(asymptotics, "project_to_sphere_slice", broken)
+        prob, _ = motzkin
+        with pytest.raises(RuntimeError, match="bug"):
+            asymptotics._chain_start(prob, 10.0, None, light_config, seed=[1, 2])

@@ -73,6 +73,14 @@ class TestPointwiseCommands:
                   "--at", "1,2,3", "--out", tmp_path / "out"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("at", ["nan,1", "inf,0", "-inf,2", "1,NaN"])
+    def test_non_finite_point_is_input_error(self, tmp_path, at):
+        out = tmp_path / "out"
+        rc = run(["eval", "--problem", PROBLEMS / "motzkin.json",
+                  f"--at={at}", "--out", out])
+        assert rc == EXIT_INPUT
+        assert not (out / "eval_report.json").exists()
+
     def test_infeasible_point_is_operation_error(self, tmp_path):
         out = tmp_path / "out"
         rc = run(["rabier", "--problem", PROBLEMS / "motzkin.json",

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from vpa import (DEFAULT_CONFIG, Problem, check_feasible, parse, rabier_value,
                  section_probe, solve_front, solve_scalarized)
-from vpa.errors import DivergenceError, SectionError, SolveError
-from vpa.pareto import (ArchiveEntry, ParetoArchive, nondominated_filter)
+from vpa import pareto
+from vpa.errors import ClassifyError, DivergenceError, SectionError, SolveError
+from vpa.pareto import (ArchiveEntry, ParetoArchive, existence_verdict,
+                        nondominated_filter)
 
 INF2 = (math.inf, math.inf)
 
@@ -208,3 +210,30 @@ class TestSectionProbe:
         prob, _ = motzkin
         with pytest.raises(ValueError):
             section_probe(prob, INF2, 8, seed=1, cfg=light_config)
+
+
+class TestExistenceVerdict:
+    @pytest.fixture()
+    def cheap_stages(self, monkeypatch):
+        """Stub the sampling stages so only the classify handling runs."""
+        monkeypatch.setattr(pareto, "trace_tangency", lambda *a, **k: [])
+        monkeypatch.setattr(pareto, "solve_front", lambda *a, **k: ParetoArchive())
+
+    def test_classify_error_becomes_a_note(self, monkeypatch, cheap_stages,
+                                           light_config):
+        def refuse(*args, **kwargs):
+            raise ClassifyError("no evidence")
+        monkeypatch.setattr(pareto, "classify", refuse)
+        prob = Problem(n=1, objectives=(parse("x1^2", 1),))
+        report = existence_verdict(prob, (math.inf,), light_config)
+        assert report.verdicts == {}
+        assert "classification failed: no evidence" in report.notes
+
+    def test_bug_in_classify_propagates(self, monkeypatch, cheap_stages,
+                                        light_config):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+        monkeypatch.setattr(pareto, "classify", broken)
+        prob = Problem(n=1, objectives=(parse("x1^2", 1),))
+        with pytest.raises(RuntimeError, match="bug"):
+            existence_verdict(prob, (math.inf,), light_config)

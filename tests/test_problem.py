@@ -1,14 +1,23 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+from test_polynomials import random_polynomial
 
 from vpa import (DEFAULT_CONFIG, Problem, check_feasible, load_problem,
                  parse, problem_from_dict, project_to_sphere_slice,
                  sample_feasible_ray)
 from vpa.errors import (ProblemValidationError, ProjectionError, RayError)
+from vpa.polynomials import Polynomial
 from vpa.problem import parse_ybar
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+FIXTURES = ("motzkin", "hyperbola", "degenerate_line")
 
 
 def empty_feasible_problem():
@@ -30,6 +39,60 @@ class TestProblemValidation:
     def test_counts(self, hyperbola):
         prob, _ = hyperbola
         assert (prob.n, prob.p, prob.l, prob.m) == (3, 2, 0, 2)
+
+
+def magnitude(poly, x):
+    """sum |c * x^e| over the terms: the scale of rounding in evaluate(x)."""
+    absolute = Polynomial(poly.num_vars, {e: abs(c) for e, c in poly.terms.items()})
+    return absolute.evaluate(np.abs(x))
+
+
+class TestEvaluate:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_matches_polynomial_evaluation(self, seed, n, p, l, m):
+        rng = np.random.default_rng(seed)
+        blocks = [tuple(random_polynomial(rng, n) for _ in range(k)) for k in (p, l, m)]
+        prob = Problem(n, *blocks)
+        x = rng.uniform(-2.0, 2.0, size=n)
+        values = prob.evaluate(x)
+        for block, polys in zip(values[:3], blocks):
+            assert block.shape == (len(polys),)
+            for value, poly in zip(block, polys):
+                assert abs(value - poly.evaluate(x)) <= 1e-12 * magnitude(poly, x)
+        for jac, polys in zip(values[3:], blocks):
+            assert jac.shape == (len(polys), n)
+            for row, poly in zip(jac, polys):
+                for entry, partial in zip(row, poly.gradient()):
+                    assert abs(entry - partial.evaluate(x)) <= 1e-12 * magnitude(partial, x)
+        for got, method in zip(values, (prob.f, prob.g, prob.h,
+                                        prob.jac_f, prob.jac_g, prob.jac_h)):
+            assert np.array_equal(got, method(x))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_sympy(self, name):
+        data = json.loads((PROBLEMS / f"{name}.json").read_text())
+        prob, _ = problem_from_dict(data)
+        symbols = sympy.symbols(f"x1:{prob.n + 1}")
+        exprs = [sympy.expand(sympy.sympify(text.replace("^", "**")))
+                 for key in ("objectives", "equalities", "inequalities")
+                 for text in data.get(key, [])]
+        rows = exprs + [sympy.diff(e, s) for e in exprs for s in symbols]
+        # dyadic coordinates are exact in binary, so only the evaluation rounds
+        for point in (("1/2", "3/4", "-5/4"), ("3", "-1/8", "7/16"), ("-9/4", "1", "0")):
+            point = [sympy.Rational(c) for c in point[:prob.n]]
+            expected = np.array([float(row.subs(dict(zip(symbols, point))))
+                                 for row in rows])
+            got = np.concatenate([block.ravel() for block in
+                                  prob.evaluate([float(c) for c in point])])
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-12)
+
+    def test_empty_blocks(self):
+        prob = Problem(2, (parse("x1*x2", 2),))
+        f, g, h, Jf, Jg, Jh = prob.evaluate([2.0, 3.0])
+        assert f.tolist() == [6.0] and Jf.tolist() == [[3.0, 2.0]]
+        assert g.shape == h.shape == (0,)
+        assert Jg.shape == Jh.shape == (0, 2)
 
 
 class TestCheckFeasible:
