@@ -2,14 +2,24 @@
 the Mangasarian-Fromovitz direction probe.
 
 All three take a feasible point of a Problem and are pure functions of
-(problem, point, config). Complementarity is enforced through the activity
-tolerance: an inequality multiplier is free (and nonnegative) only for
-constraints with |h_j(x)| <= tol_active, and pinned to zero otherwise.
+(problem, point, config); a point whose values or Jacobians are not finite
+is rejected with NonFiniteError. Complementarity is enforced through the
+activity tolerance: an inequality multiplier is free (and nonnegative) only
+for constraints with |h_j(x)| <= tol_active, and pinned to zero otherwise.
+
+Both least-norm certificates run on one exact kernel
+(`solvers.min_norm_simplex_cone`) after eliminating their free multipliers
+by projection, and normalize their residuals differently:
+
+- Rabier: tau on the unit simplex, nu in the cone, raw gradients; the value
+  is in the units of the objective gradients.
+- Tangency: every gradient column and x scaled to unit length, (tau, nu)
+  jointly on the unit simplex; the residual is relative to the gradient
+  magnitudes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +27,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import InfeasiblePointError
+from .errors import InfeasiblePointError, NonFiniteError
 from .problem import Problem, check_feasible
-from .solvers import minimize_quadratic_pg, project_simplex
+from .solvers import min_norm_simplex_cone
 
 
 @dataclass(frozen=True)
@@ -68,18 +78,23 @@ _NOISE_FLOOR = 1e-7
 
 
 def _require_feasible(prob: Problem, x, cfg: RunConfig):
+    """Feasibility report and the evaluation (f, g, h, Jf, Jg, Jh) at x."""
+    values = prob.evaluate(x)
+    if not all(np.all(np.isfinite(block)) for block in values):
+        raise NonFiniteError("a value or Jacobian entry at the point is not "
+                             "finite (overflow)")
     report = check_feasible(prob, x, cfg.tol_feas, cfg.tol_active)
     if not report.feasible:
         raise InfeasiblePointError(
             f"point is infeasible (eq violation {report.max_equality_violation:.3e}, "
             f"ineq violation {report.max_inequality_violation:.3e})")
-    return report
+    return report, values
 
 
-def _gradient_blocks(prob: Problem, x, active):
+def _gradient_blocks(prob: Problem, values, active):
     """Columns: objective gradients F (n,p), equality gradients G (n,l),
     active inequality gradients H (n,|A|)."""
-    _, _, _, Jf, Jg, Jh = prob.evaluate(x)
+    _, _, _, Jf, Jg, Jh = values
     F, G = Jf.T, Jg.T
     H = Jh[list(active), :].T if active else np.zeros((prob.n, 0))
     return F, G, H
@@ -100,14 +115,14 @@ def rabier_value(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> RabierRes
     combination minus a conic combination of constraint gradients.
 
     Solves min ||F tau - G lam - H nu|| with tau on the unit simplex, lam
-    free, nu >= 0 on the active face only. lam is eliminated exactly by
-    projecting onto the orthogonal complement of span(G); the reduced convex
-    problem runs through the projected-gradient QP.
+    free, nu >= 0 on the active face only, on the raw gradients. lam is
+    eliminated exactly by projecting onto the orthogonal complement of
+    span(G); the reduced problem is one exact simplex/cone kernel solve.
     """
     x = prob._point(x)
-    report = _require_feasible(prob, x, cfg)
+    report, values = _require_feasible(prob, x, cfg)
     active = report.active
-    F, G, H = _gradient_blocks(prob, x, active)
+    F, G, H = _gradient_blocks(prob, values, active)
     p, na = prob.p, len(active)
 
     floor = max(cfg.tol_rank, _NOISE_FLOOR) * _gradient_scale(F, G, x)
@@ -135,16 +150,7 @@ def rabier_value(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> RabierRes
         na = len(active)
 
     M = np.hstack([proj(F), -proj(H)]) if na else proj(F)
-
-    def project(z):
-        z = z.copy()
-        z[:p] = project_simplex(z[:p])
-        if na:
-            z[p:] = np.maximum(z[p:], 0.0)
-        return z
-
-    z0 = np.concatenate([np.full(p, 1.0 / p), np.zeros(na)])
-    z, _ = minimize_quadratic_pg(M, project, z0, tol_decrease=1e-9)
+    z, _ = min_norm_simplex_cone(M, p)
 
     tau = z[:p]
     nu_active = z[p:]
@@ -164,55 +170,53 @@ def tangency_membership(prob: Problem, x,
     """Decide whether some nonzero (tau, lam, nu, mu) with tau >= 0, nu >= 0
     complementary balances F tau - G lam - H nu - mu x = 0.
 
-    The l1-style normalization sum(tau) + sum|lam| + sum(nu) + |mu| = 1 turns
-    the decision into 2^(l+1) convex subproblems, one per sign pattern of
-    (lam, mu), each a quadratic over the unit simplex. Each gradient column
-    is normalized to unit length first (multipliers absorb the scales), so
-    the solve is well conditioned and the reported residual is relative to
-    the gradient magnitudes; membership is invariant under rescaling the
-    data and under the normalization itself.
+    Each column of [F, G, H, x] is first scaled to unit length (multipliers
+    absorb the scales), so the residual is relative to the gradient
+    magnitudes and membership is invariant under rescaling the data. The
+    free multipliers (lam, mu) are eliminated by projecting onto the
+    orthogonal complement of span([G x]). If [G x] is rank-deficient (its
+    least singular value <= tol_membership) the point is a member through
+    (lam, mu) alone; otherwise (tau, nu) range over the unit simplex and one
+    exact kernel solve gives the residual. The witness is reported for the
+    unscaled gradients with |tau| + |lam| + |nu| + |mu| = 1.
     """
     x = prob._point(x)
-    report = _require_feasible(prob, x, cfg)
+    report, values = _require_feasible(prob, x, cfg)
     active = report.active
-    F, G, H = _gradient_blocks(prob, x, active)
+    F, G, H = _gradient_blocks(prob, values, active)
     p, l, na = prob.p, prob.l, len(active)
-    d = p + l + na + 1
 
     base_cols = np.hstack([F, G, H, x[:, None]])
     col_norms = np.linalg.norm(base_cols, axis=0)
     biggest = float(np.max(col_norms, initial=0.0))
     col_scale = np.maximum(col_norms, 1e-12 * max(1.0, biggest))
     threshold = cfg.tol_membership
+    unit = base_cols / col_scale[None, :]
+    free = np.hstack([unit[:, p:p + l], unit[:, -1:]])     # scaled [G x]
 
-    best = None
-    for pattern in itertools.product((1.0, -1.0), repeat=l + 1):
-        signs_lam = np.array(pattern[:l])
-        sign_mu = pattern[l]
-        cols = [F]
-        if l:
-            cols.append(-G * signs_lam[None, :])
-        if na:
-            cols.append(-H)
-        cols.append(-sign_mu * x[:, None])
-        M = np.hstack(cols) / col_scale[None, :]
-        z0 = np.full(d, 1.0 / d)
-        z, residual = minimize_quadratic_pg(M, project_simplex, z0,
-                                            tol_decrease=1e-12)
-        if best is None or residual < best[0]:
-            best = (residual, z, signs_lam, sign_mu)
+    U, sv, Vt = np.linalg.svd(free)
+    if l + 1 > prob.n or sv[-1] <= threshold:
+        # (lam, mu) alone balance: tau = nu = 0
+        z = np.zeros(p + l + na + 1)
+        z[p:p + l] = Vt[-1, :l]
+        z[-1] = Vt[-1, -1]
+        residual = float(np.linalg.norm(free @ Vt[-1]))
+    else:
+        Q = U[:, :l + 1]
+        cone = np.hstack([unit[:, :p], -unit[:, p + l:p + l + na]])
+        weights, residual = min_norm_simplex_cone(cone - Q @ (Q.T @ cone), p + na)
+        free_mult = Vt.T @ ((Q.T @ (cone @ weights)) / sv)
+        z = np.concatenate([weights[:p], free_mult[:l], weights[p:], free_mult[l:]])
 
-    residual, z, signs_lam, sign_mu = best
     # map back to multipliers for the unnormalized gradients
     z_true = z / col_scale
-    total = float(np.sum(z_true))
-    z_true = z_true / total if total > 0 else z_true
+    z_true = z_true / float(np.sum(np.abs(z_true)))
     tau = z_true[:p]
-    lam = signs_lam * z_true[p:p + l] if l else np.zeros(0)
+    lam = z_true[p:p + l]
     nu = np.zeros(prob.m)
     for slot, j in enumerate(active):
         nu[j] = z_true[p + l + slot]
-    mu = sign_mu * z_true[-1]
+    mu = z_true[-1]
     is_member = residual <= threshold
     witness = MultiplierVector(tau=tuple(tau), lam=tuple(lam),
                                nu=tuple(nu), mu=float(mu)) if is_member else None
@@ -231,9 +235,8 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
     witnesses are clean. The margin is re-reported at unit Euclidean norm.
     """
     x = prob._point(x)
-    report = _require_feasible(prob, x, cfg)
+    report, (_, _, _, _, Jg, Jh) = _require_feasible(prob, x, cfg)
     active = report.active
-    _, _, _, _, Jg, Jh = prob.evaluate(x)
     l, n = prob.l, prob.n
 
     if l:

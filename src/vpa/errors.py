@@ -27,6 +27,14 @@ class InfeasiblePointError(VpaError):
     """A pointwise certificate was requested at an infeasible point."""
 
 
+class NonFiniteError(VpaError):
+    """A value or Jacobian entry at the requested point is not finite."""
+
+
+class KernelError(VpaError):
+    """The certificates' least-norm kernel hit its iteration limit."""
+
+
 class ProjectionError(VpaError):
     """Local search failed to reach a feasible sphere-slice point."""
 

@@ -1,4 +1,4 @@
-"""Shared numerical machinery: simplex projection, projected-gradient QP,
+"""Shared numerical machinery: the exact simplex/cone least-norm kernel,
 damped Gauss-Newton, and an augmented-Lagrangian local solver.
 
 Everything here is deterministic given its inputs; randomness always enters
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import nnls
 
-from .errors import DivergenceError
+from .errors import DivergenceError, KernelError
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -24,75 +25,30 @@ def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based, O(d log d))."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 1:
-        return np.ones(1)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    k = ks[cond][-1]
-    tau = css[cond][-1] / k
-    return np.maximum(v - tau, 0.0)
+def min_norm_simplex_cone(M: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Exact minimizer of ||M z|| over z >= 0 with sum(z[:k]) = 1: the first
+    k coordinates on the unit simplex, the rest in the nonnegative cone.
 
-
-def minimize_quadratic_pg(M: np.ndarray, project, z0: np.ndarray, *,
-                          tol_decrease: float = 1e-9, max_iter: int = 5000,
-                          patience: int = 25) -> tuple[np.ndarray, float]:
-    """Minimize ||M z|| over a convex set via FISTA with restarts.
-
-    `project` maps R^d onto the set. Columns are jointly rescaled so the
-    step size is well conditioned; the argmin is unchanged. Returns the best
-    iterate and its true residual norm. Stops once the best residual has not
-    improved by `tol_decrease` for `patience` iterations.
+    One Lawson-Hanson NNLS solve of [M; w (1_k, 0)] u against (0, ..., 0, w).
+    Writing u = s z with z feasible, the squared residual at the best s is
+    w^2 q / (w^2 + q) with q = ||M z||^2, increasing in q, so
+    z = u / sum(u[:k]) is the exact minimizer; with w the largest norm among
+    the first k columns, s lies in [1/2, 1]. Returns (z, ||M z||).
     """
     M = np.asarray(M, dtype=float)
     n, d = M.shape
-    z0 = project(np.asarray(z0, dtype=float))
-    if d == 0:
-        return z0, 0.0
-    scale = float(np.max(np.linalg.norm(M, axis=0))) if n else 0.0
-    if scale == 0.0:
-        return z0, 0.0
-    Mh = M / scale
-    Q = Mh.T @ Mh
-    lip = 2.0 * float(np.linalg.norm(Q, 2))
-    if lip == 0.0:
-        return z0, 0.0
-    step = 1.0 / lip
-
-    z = z0
-    y = z.copy()
-    t = 1.0
-    best_z = z
-    best_r = float(np.linalg.norm(Mh @ z))
-    stall = 0
-    last_obj = best_r
-    for _ in range(max_iter):
-        z_new = project(y - step * 2.0 * (Q @ y))
-        r_new = float(np.linalg.norm(Mh @ z_new))
-        if r_new < best_r - tol_decrease / scale:
-            best_z, best_r, stall = z_new, r_new, 0
-        else:
-            if r_new < best_r:
-                best_z, best_r = z_new, r_new
-            stall += 1
-            if stall >= patience:
-                break
-        if r_new > last_obj:          # lost monotonicity: restart momentum
-            y = z_new.copy()
-            t = 1.0
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = z_new + ((t - 1.0) / t_new) * (z_new - z)
-            t = t_new
-        z = z_new
-        last_obj = r_new
-        if best_r * scale < 1e-15 * max(1.0, scale):
-            break
-    return best_z, best_r * scale
+    w = float(np.max(np.linalg.norm(M[:, :k], axis=0)))
+    if w == 0.0:
+        z = np.zeros(d)
+        z[:k] = 1.0 / k
+        return z, 0.0
+    A = np.vstack([M, np.r_[np.full(k, w), np.zeros(d - k)]])
+    try:
+        u, _ = nnls(A, np.r_[np.zeros(n), w], maxiter=10 * d)
+    except RuntimeError as exc:
+        raise KernelError(f"NNLS hit its iteration limit on a {n}x{d} system") from exc
+    z = u / float(np.sum(u[:k]))
+    return z, float(np.linalg.norm(M @ z))
 
 
 def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_polynomials import random_polynomial
 
 from vpa import (DEFAULT_CONFIG, Problem, mfcq_probe, parse, rabier_value,
                  tangency_membership)
-from vpa.errors import InfeasiblePointError
+from vpa.errors import InfeasiblePointError, NonFiniteError
 
 
 def unconstrained(expr_list, n):
@@ -88,11 +91,11 @@ class TestTangencyMembership:
         assert result.is_member and result.residual <= 1e-12
 
     def test_off_axis_linear_objective_is_not_member(self):
-        # minimum of ||tau e1 - mu x|| over tau + |mu| = 1 is sqrt(2)/2 > 0
+        # projecting out x = e2 leaves tau e1 with tau = 1: residual 1
         prob = unconstrained(["x1"], 3)
         result = tangency_membership(prob, [0.0, 1.0, 0.0])
         assert not result.is_member
-        assert result.residual == pytest.approx(math.sqrt(2) / 2, rel=1e-6)
+        assert result.residual == pytest.approx(1.0, rel=1e-6)
 
     def test_gradient_parallel_to_point_is_member(self):
         prob = unconstrained(["x1^2 + x2^2"], 2)
@@ -108,6 +111,68 @@ class TestTangencyMembership:
             for j, val in enumerate(hv):
                 if abs(val) > DEFAULT_CONFIG.tol_active:
                     assert nu[j] == 0.0
+
+    def test_more_free_multipliers_than_dimensions_is_member(self):
+        # [G x] has more columns than rows, so (lam, mu) alone balance
+        prob = Problem(n=1, objectives=(parse("x1", 1),),
+                       equalities=(parse("x1 - 2", 1),))
+        result = tangency_membership(prob, [2.0])
+        assert result.is_member and result.residual <= 1e-12
+        assert result.tau_weight == 0.0
+
+    def test_motzkin_interior_point_is_member(self, motzkin):
+        # the objective gradients projected onto x-perp have opposite signs
+        # here, so an exact balancing combination exists
+        prob, _ = motzkin
+        assert tangency_membership(prob, [6.63, 7.49]).is_member
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_planar_matches_projected_gradient_signs(self, seed):
+        # unconstrained in the plane, x is a member iff some tau >= 0, tau != 0
+        # puts F tau on the line through x: iff the objective gradients
+        # projected onto x-perp have opposite signs
+        rng = np.random.default_rng(seed)
+        prob = Problem(n=2, objectives=(random_polynomial(rng, 2),
+                                        random_polynomial(rng, 2)))
+        x = rng.uniform(-2.0, 2.0, size=2)
+        if np.linalg.norm(x) < 0.1:
+            return
+        perp = np.array([-x[1], x[0]]) / np.linalg.norm(x)
+        cosines = [float(grad @ perp) / max(float(np.linalg.norm(grad)), 1e-300)
+                   for grad in prob.jac_f(x)]
+        if abs(cosines[0] * cosines[1]) <= 1e-4:
+            return
+        assert tangency_membership(prob, x).is_member == (cosines[0] * cosines[1] < 0)
+
+    @pytest.mark.parametrize("fixture, x", [
+        ("degenerate_line", [0.0, 0.0, 7.0]),
+        ("motzkin", [0.5, 2.0]),
+        ("motzkin", [6.63, 7.49]),
+    ])
+    def test_witness_balances(self, request, fixture, x):
+        prob, _ = request.getfixturevalue(fixture)
+        result = tangency_membership(prob, x)
+        assert result.is_member
+        tau, lam, nu, mu = result.witness.as_arrays()
+        x = np.array(x)
+        balance = (tau @ prob.jac_f(x) - lam @ prob.jac_g(x)
+                   - nu @ prob.jac_h(x) - mu * x)
+        columns = np.vstack([prob.jac_f(x), prob.jac_g(x), prob.jac_h(x), x])
+        scale = float(np.max(np.linalg.norm(columns, axis=1)))
+        assert np.linalg.norm(balance) <= DEFAULT_CONFIG.tol_membership * scale
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestNonFiniteData:
+    # x1^400 overflows at 10, and the overflow reaches every value
+    prob = Problem(n=1, objectives=(parse("x1^400", 1), parse("x1", 1)))
+
+    @pytest.mark.parametrize("certificate",
+                             [rabier_value, tangency_membership, mfcq_probe])
+    def test_certificates_reject_overflow(self, certificate):
+        with pytest.raises(NonFiniteError):
+            certificate(self.prob, [10.0])
 
 
 class TestMfcqProbe:

@@ -90,6 +90,18 @@ class TestPointwiseCommands:
         assert rep["status"] == "error"
         assert rep["error"]["type"] == "InfeasiblePointError"
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_is_operation_error(self, tmp_path):
+        problem = tmp_path / "overflow.json"
+        problem.write_text(json.dumps({"n": 1, "objectives": ["x1^400", "x1"]}))
+        out = tmp_path / "out"
+        rc = run(["rabier", "--problem", problem, "--at", "10", "--out", out])
+        assert rc == EXIT_OPERATION
+        rep = report(out, "rabier")
+        assert rep["status"] == "error"
+        assert rep["error"]["type"] == "NonFiniteError"
+
 
 class TestInputValidation:
     def test_malformed_expression_reports_position(self, tmp_path, capsys):
