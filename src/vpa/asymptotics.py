@@ -27,6 +27,7 @@ from .certificates import rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
                      ProjectionError, TraceError)
+from .pipeline import Stage, run
 from .problem import (Problem, RaySample, check_feasible, polish_to_slice,
                       project_to_sphere_slice)
 from .solvers import minimize_auglag, random_unit_vector, simplex_lattice
@@ -195,57 +196,72 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     )
 
 
-
-
 def trace_tangency(prob: Problem, ybar: Sequence[float],
                    radii: Sequence[float], weights_seed: int,
                    cfg: RunConfig = DEFAULT_CONFIG) -> list[TraceResult]:
     """Track approximate Pareto points of f on S intersect S_r over a radius
     schedule, one warm-started chain per weight draw.
 
-    Weights are seeded simplex draws per radius; chain c at radius k warm
-    starts from chain c at radius k-1. Radii where the local solver fails
-    are dropped; radii where the below-ybar slice is judged empty still
-    count as resolved coverage. Raises TraceError when nothing converges.
+    Each chain holds one seeded weight draw over the whole schedule; chain
+    c at radius k warm starts from chain c at radius k-1. Radii where the
+    local solver fails are dropped; radii where the below-ybar slice is
+    judged empty still count as resolved coverage. Raises TraceError when
+    nothing converges. The chains run as independent units of
+    `pipeline.run`.
     """
+    with run(chain_stage(prob, ybar, radii, weights_seed, cfg)) as (chains,):
+        return chains()
+
+
+def chain_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
+                weights_seed: int, cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
+    """The chains of `trace_tangency`, one unit each; the stage's result is
+    the list of chains."""
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    filtering = not ybar_all_infinite(ybar)
-    nw = cfg.weights_per_radius
-    chains = [TraceResult(label=f"pareto-chain-{c:02d}") for c in range(nw)]
-    prev: list[np.ndarray | None] = [None] * nw
-
     # one weight vector per chain, held fixed across the whole schedule:
     # redrawing per radius makes a chain chase a different Pareto point at
     # every step and destroys the f-convergence the classifier looks for
     rng = np.random.default_rng([cfg.seed, weights_seed])
-    chain_weights = _chain_weight_draws(prob.p, nw, rng)
+    chain_weights = _chain_weight_draws(prob.p, cfg.weights_per_radius, rng)
+    calls = tuple((_trace_chain, (prob, ybar, radii, w, weights_seed, c, cfg))
+                  for c, w in enumerate(chain_weights))
+    return Stage(calls, _collect_chains)
 
-    for ridx, r in enumerate(radii):
-        for c in range(nw):
-            chain = chains[c]
-            chain.attempted_radii.append(r)
-            status, x = _resolve_radius(prob, r, chain_weights[c], ybar, prev[c],
-                                        cfg, seed=[weights_seed, ridx, c])
-            if status == "empty":
-                # the below-ybar slice at this radius looks empty from every
-                # restart: resolved coverage with no point
-                chain.coverage_radii.append(r)
-                continue
-            if status != "point":
-                continue
-            rec = make_record(prob, ybar, x, cfg)
-            chain.coverage_radii.append(r)
-            prev[c] = x
-            if rec.below_ybar or not filtering:
-                chain.records.append(rec)
-            else:
-                chain.filtered_radii.append(r)
 
+def _collect_chains(handles) -> list[TraceResult]:
+    chains = [handle.result() for handle in handles]
     if not any(chain.coverage_radii for chain in chains):
         raise TraceError("no radius converged in any chain")
     return chains
+
+
+def _trace_chain(prob, ybar, radii, weights, weights_seed, c, cfg) -> TraceResult:
+    """Chain c: its fixed weight over the whole schedule, each radius warm
+    started from the chain's last point, seeds [weights_seed, ridx, c]."""
+    filtering = not ybar_all_infinite(ybar)
+    chain = TraceResult(label=f"pareto-chain-{c:02d}")
+    prev = None
+    for ridx, r in enumerate(radii):
+        chain.attempted_radii.append(r)
+        status, x = _resolve_radius(prob, r, weights, ybar, prev, cfg,
+                                    seed=[weights_seed, ridx, c])
+        if status == "empty":
+            # the below-ybar slice at this radius looks empty from every
+            # restart: resolved coverage with no point
+            chain.coverage_radii.append(r)
+            continue
+        if status != "point":
+            continue
+        rec = make_record(prob, ybar, x, cfg)
+        chain.coverage_radii.append(r)
+        prev = x
+        if rec.below_ybar or not filtering:
+            chain.records.append(rec)
+        else:
+            chain.filtered_radii.append(r)
+    return chain
 
 
 def _chain_weight_draws(p: int, count: int, rng) -> list[np.ndarray]:

@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, pareto
-from .asymptotics import classify, flatten_records, ray_to_trace, trace_tangency
+from .asymptotics import classify, flatten_records, trace_tangency
 from .certificates import mfcq_probe, rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ParseError, ProblemValidationError, VpaError
-from .problem import (Problem, check_feasible, load_problem, parse_ybar,
-                      sample_feasible_ray)
+from .pipeline import run
+from .problem import Problem, check_feasible, load_problem, parse_ybar
 
 COMMANDS = ("eval", "rabier", "mfcq", "tangency", "trace", "classify",
             "section", "solve", "verdict")
@@ -137,22 +137,16 @@ def _cmd_trace(prob, ybar, point, cfg, outdir):
     }
 
 
-def _gather_traces(prob, ybar, cfg):
-    traces = list(trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg))
-    for ray_idx in range(2):
-        try:
-            ray = sample_feasible_ray(prob, cfg.radii(), seed=2000 + ray_idx, cfg=cfg)
-        except VpaError:
-            continue
-        traces.append(ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{ray_idx:02d}"))
-    return traces
-
-
 def _cmd_classify(prob, ybar, point, cfg, outdir):
-    evidence = pareto.sample_mfcq_evidence(prob, cfg)
-    traces = _gather_traces(prob, ybar, cfg)
+    radii = cfg.radii()
+    stages = run(pareto.mfcq_stage(prob, cfg),
+                 asymptotics.chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg),
+                 pareto.ray_stage(prob, ybar, radii, cfg))
+    with stages as (read_mfcq, read_chains, read_rays):
+        evidence = read_mfcq()
+        traces = read_chains() + read_rays()
     verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=evidence.holds,
-                        schedule=cfg.radii())
+                        schedule=radii)
     return {"mfcq_evidence": evidence, "verdicts": verdicts}
 
 

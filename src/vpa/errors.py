@@ -15,6 +15,11 @@ class ParseError(VpaError, ValueError):
         self.position = position
 
 
+class ExpansionError(ParseError):
+    """A product or power of polynomials may form more than
+    `polynomials.MAX_TERMS` terms; raised before expanding."""
+
+
 class DimensionMismatchError(VpaError, ValueError):
     """Point/polynomial dimension disagreement."""
 

@@ -13,12 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import (TraceResult, below_ybar, classify, ray_to_trace,
-                          trace_tangency)
+from .asymptotics import (TraceResult, below_ybar, chain_stage, classify,
+                          ray_to_trace)
 from .certificates import mfcq_probe, rabier_value
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, RayError, SectionError,
                      SolveError, TraceError, VpaError)
+from .pipeline import Stage, run, single
 from .problem import Problem, check_feasible, sample_feasible_ray
 from .solvers import minimize_auglag, simplex_lattice
 
@@ -147,30 +148,45 @@ def solve_front(prob: Problem, ybar: Sequence[float],
     filters them to a mutually nondominated archive.
 
     Weighted sums only reach supported points, so nonconvex fronts may be
-    undersampled; the archive is evidence, not an enumeration.
+    undersampled; the archive is evidence, not an enumeration. Each
+    (weight, start) pair is an independent unit of `pipeline.run`.
     """
-    archive = ParetoArchive(mode="pareto")
-    attempts = failures = 0
-    for widx, weights in enumerate(_weight_draws(prob.p, cfg)):
-        for start in _starts(prob, cfg, widx):
-            attempts += 1
+    with run(front_stage(prob, ybar, cfg)) as (front,):
+        return front()
+
+
+def front_stage(prob: Problem, ybar: Sequence[float],
+                cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
+    """The scalarizations of `solve_front`, one unit each; the stage's result
+    is the archive."""
+    draws = [(weights, start)
+             for widx, weights in enumerate(_weight_draws(prob.p, cfg))
+             for start in _starts(prob, cfg, widx)]
+
+    def archive(handles) -> ParetoArchive:
+        out = ParetoArchive(mode="pareto")
+        failures = 0
+        for (weights, _), handle in zip(draws, handles):
             try:
-                x, residual = solve_scalarized(prob, weights, start, cfg)
+                x, residual = handle.result()
             except (SolveError, DivergenceError):
                 failures += 1
                 continue
             fval = prob.f(x)
             if not below_ybar(fval, ybar, cfg.tol_active):
                 continue
-            archive.add(ArchiveEntry(
+            out.add(ArchiveEntry(
                 x=tuple(float(t) for t in x),
                 f=tuple(float(t) for t in fval),
                 weights=tuple(float(t) for t in weights),
                 rabier_residual=residual,
             ))
-    if failures == attempts:
-        raise SolveError(f"all {attempts} scalarized runs failed")
-    return archive
+        if failures == len(draws):
+            raise SolveError(f"all {len(draws)} scalarized runs failed")
+        return out
+
+    return Stage(tuple((_scalarize, (prob, weights, start, cfg))
+                       for weights, start in draws), archive)
 
 
 # -- section probing --------------------------------------------------------------
@@ -402,58 +418,108 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
     return "unverified"
 
 
+def mfcq_stage(prob: Problem, cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
+    """`sample_mfcq_evidence` as one unit."""
+    return single(_mfcq_evidence, prob, cfg)
+
+
+def ray_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
+              cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
+    """The two feasible trace rays, one unit each; the stage's result is the
+    list of their traces, without the rays that could not be sampled."""
+    def traces(handles) -> list[TraceResult]:
+        out = []
+        for ray_idx, handle in enumerate(handles):
+            try:
+                ray = handle.result()
+            except RayError:
+                continue
+            out.append(ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{ray_idx:02d}"))
+        return out
+
+    return Stage(tuple((_sample_ray, (prob, radii, 2000 + ray_idx, cfg))
+                       for ray_idx in range(2)), traces)
+
+
+# Units are sent to worker processes by reference, so each is a private
+# module-level function: tracing tools patch the public names, and a patched
+# function does not pickle.
+
+def _scalarize(prob, weights, start, cfg):
+    return solve_scalarized(prob, weights, start, cfg)
+
+
+def _mfcq_evidence(prob, cfg):
+    return sample_mfcq_evidence(prob, cfg)
+
+
+def _section(prob, ybar, cfg):
+    return section_probe(prob, ybar, cfg.section_budget, seed=1, cfg=cfg)
+
+
+def _sample_ray(prob, radii, seed, cfg):
+    return sample_feasible_ray(prob, radii, seed=seed, cfg=cfg)
+
+
 def existence_verdict(prob: Problem, ybar: Sequence[float],
                       cfg: RunConfig = DEFAULT_CONFIG) -> ExistenceReport:
     """Compose the existence evidence: sampled constraint qualification,
     section boundedness, and the four asymptotic conditions; a front sweep
     is attached as constructive confirmation either way.
+
+    Every stage's units start at once in one `pipeline.run`; the results
+    are read in the order below.
     """
     notes = []
     radii = cfg.radii()
+    finite = any(math.isfinite(y) for y in ybar)
+    # with ybar +inf in every component there is no section to probe
+    section_stage = single(_section, prob, ybar, cfg) if finite \
+        else Stage((), lambda handles: None)
+    stages = run(mfcq_stage(prob, cfg),
+                 single(_verify_ybar_membership, prob, ybar, cfg),
+                 section_stage,
+                 chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg),
+                 ray_stage(prob, ybar, radii, cfg),
+                 front_stage(prob, ybar, cfg))
+    with stages as (read_mfcq, read_membership, read_section, read_chains,
+                    read_rays, read_front):
+        mfcq = read_mfcq()
+        membership = read_membership()
 
-    mfcq = sample_mfcq_evidence(prob, cfg)
-    membership = _verify_ybar_membership(prob, ybar, cfg)
+        section = None
+        section_bounded = None
+        if finite:
+            try:
+                section = read_section()
+                section_bounded = section.bounded_evidence
+            except (SectionError, VpaError) as exc:
+                notes.append(f"section probe failed: {exc}")
+                section_bounded = False
+        else:
+            notes.append("ybar is +inf in every component; section evidence "
+                         "reduces to classification coverage")
+            section_bounded = True
 
-    section = None
-    section_bounded = None
-    if any(math.isfinite(y) for y in ybar):
+        traces: list[TraceResult] = []
         try:
-            section = section_probe(prob, ybar, cfg.section_budget,
-                                    seed=1, cfg=cfg)
-            section_bounded = section.bounded_evidence
-        except (SectionError, VpaError) as exc:
-            notes.append(f"section probe failed: {exc}")
-            section_bounded = False
-    else:
-        notes.append("ybar is +inf in every component; section evidence "
-                     "reduces to classification coverage")
-        section_bounded = True
+            traces.extend(read_chains())
+        except TraceError as exc:
+            notes.append(f"sphere tracking failed: {exc}")
+        traces.extend(read_rays())
 
-    traces: list[TraceResult] = []
-    try:
-        traces.extend(trace_tangency(prob, ybar, radii, weights_seed=1, cfg=cfg))
-    except TraceError as exc:
-        notes.append(f"sphere tracking failed: {exc}")
-    for ray_idx in range(2):
         try:
-            ray = sample_feasible_ray(prob, radii, seed=2000 + ray_idx, cfg=cfg)
-        except RayError:
-            continue
-        traces.append(ray_to_trace(prob, ybar, ray, cfg,
-                                   label=f"ray-{ray_idx:02d}"))
+            verdicts = classify(prob, ybar, traces, cfg,
+                                mfcq_holds=mfcq.holds, schedule=radii)
+        except ClassifyError as exc:
+            verdicts = {}
+            notes.append(f"classification failed: {exc}")
 
-    try:
-        verdicts = classify(prob, ybar, traces, cfg,
-                            mfcq_holds=mfcq.holds, schedule=radii)
-    except ClassifyError as exc:
-        verdicts = {}
-        notes.append(f"classification failed: {exc}")
-
-    try:
-        archive = solve_front(prob, ybar, cfg)
-    except SolveError as exc:
-        archive = ParetoArchive()
-        notes.append(f"front sweep failed: {exc}")
+        try:
+            archive = read_front()
+        except SolveError as exc:
+            archive = ParetoArchive()
+            notes.append(f"front sweep failed: {exc}")
 
     failing = []
     if not mfcq.holds:

@@ -13,14 +13,18 @@ Instances are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ExpansionError, ParseError
 
 COEFF_EPS = 1e-15
+# the most terms one product or power may form; the bundled fixtures stay
+# below 100 (Python spends about 1 us per term formed)
+MAX_TERMS = 100_000
 
 
 class Polynomial:
@@ -56,6 +60,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.num_vars, self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -130,6 +137,7 @@ class Polynomial:
             c = float(other)
             return Polynomial(self.num_vars, {e: c * v for e, v in self._terms.items()})
         other = self._coerce(other)
+        _check_expansion(len(self._terms) * len(other._terms))
         terms: dict[tuple, float] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -142,8 +150,17 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent != int(exponent) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        k = int(exponent)
+        if len(self._terms) > 1:
+            # at most the multisets of k terms, and at most the monomials
+            # of degree k * degree in num_vars variables (the second bound
+            # is computed only when the first is too large)
+            bound = math.comb(len(self._terms) + k - 1, k)
+            if bound > MAX_TERMS:
+                n = self.num_vars
+                _check_expansion(min(bound, math.comb(n + k * self.degree(), n)))
         result = Polynomial.constant(self.num_vars, 1.0)
-        base, k = self, int(exponent)
+        base = self
         while k:
             if k & 1:
                 result = result * base
@@ -221,6 +238,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.num_vars}, {self.to_string()!r})"
+
+
+def _check_expansion(terms: int):
+    """Refuse, before expanding, a product or power that may form more than
+    MAX_TERMS terms."""
+    if terms > MAX_TERMS:
+        raise ExpansionError(f"expansion may form {terms} terms, more than "
+                             f"the limit of {MAX_TERMS}")
 
 
 def _format_coeff(c: float) -> str:
@@ -326,10 +351,10 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.signed()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.signed()
+                result = _at(pos, result.__mul__, self.signed())
             else:
                 return result
 
@@ -349,10 +374,10 @@ class _Parser:
     def power(self) -> Polynomial:
         result = self.atom()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "^":
                 self.advance()
-                result = result ** self.exponent()
+                result = _at(pos, result.__pow__, self.exponent())
             else:
                 return result
 
@@ -387,10 +412,20 @@ class _Parser:
                          if value else "unexpected end of expression", pos)
 
 
+def _at(pos: int, op, operand) -> Polynomial:
+    """Apply an operator, tagging an ExpansionError with its position."""
+    try:
+        return op(operand)
+    except ExpansionError as exc:
+        raise ExpansionError(str(exc), pos) from None
+
+
 def parse(text: str, num_vars: int) -> Polynomial:
     """Parse an expression over x1..xn into canonical expanded form.
 
     Raises ParseError with the offending character position on malformed
-    input, out-of-range variable indices, and negative/fractional exponents.
+    input, out-of-range variable indices, and negative/fractional exponents,
+    and its subclass ExpansionError, before expanding, on a product or power
+    that may form more than MAX_TERMS terms.
     """
     return _Parser(text, num_vars).parse()

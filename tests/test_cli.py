@@ -112,6 +112,16 @@ class TestInputValidation:
         assert rc == EXIT_INPUT
         assert "position 5" in capsys.readouterr().err
 
+    def test_oversized_expansion_is_input_error(self, tmp_path, capsys):
+        terms = "+".join(f"x{i}" for i in range(1, 11))
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"n": 10, "objectives": [f"({terms})^30"]}))
+        out = tmp_path / "out"
+        rc = run(["verdict", "--problem", bad, "--out", out])
+        assert rc == EXIT_INPUT
+        assert "more than the limit" in capsys.readouterr().err
+        assert not (out / "verdict_report.json").exists()
+
     def test_unknown_command(self, tmp_path):
         assert run(["frobnicate", "--problem", PROBLEMS / "motzkin.json",
                     "--out", tmp_path / "out"]) == EXIT_INPUT

@@ -11,6 +11,7 @@ from vpa import pareto
 from vpa.errors import ClassifyError, DivergenceError, SectionError, SolveError
 from vpa.pareto import (ArchiveEntry, ParetoArchive, existence_verdict,
                         nondominated_filter)
+from vpa.pipeline import Stage
 
 INF2 = (math.inf, math.inf)
 
@@ -216,8 +217,10 @@ class TestExistenceVerdict:
     @pytest.fixture()
     def cheap_stages(self, monkeypatch):
         """Stub the sampling stages so only the classify handling runs."""
-        monkeypatch.setattr(pareto, "trace_tangency", lambda *a, **k: [])
-        monkeypatch.setattr(pareto, "solve_front", lambda *a, **k: ParetoArchive())
+        monkeypatch.setattr(pareto, "chain_stage",
+                            lambda *a, **k: Stage((), lambda handles: []))
+        monkeypatch.setattr(pareto, "front_stage",
+                            lambda *a, **k: Stage((), lambda handles: ParetoArchive()))
 
     def test_classify_error_becomes_a_note(self, monkeypatch, cheap_stages,
                                            light_config):

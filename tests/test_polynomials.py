@@ -1,10 +1,16 @@
+import pathlib
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpa.errors import DimensionMismatchError, ParseError
+from vpa import load_problem, polynomials
+from vpa.errors import DimensionMismatchError, ExpansionError, ParseError
 from vpa.polynomials import Polynomial, parse
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 MOTZKIN = "x1^2*x2^4 + x1^4*x2^2 - 3*x1^2*x2^2 + 1"
 
@@ -64,6 +70,35 @@ class TestParse:
     def test_empty_expression_rejected(self):
         with pytest.raises(ParseError, match="empty"):
             parse("   ", 1)
+
+
+class TestExpansionLimit:
+    def test_huge_power_is_rejected_before_expanding(self, monkeypatch):
+        products = []
+        multiply = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: products.append(1) or multiply(a, b))
+        text = "(" + "+".join(f"x{i}" for i in range(1, 11)) + ")^30"
+        start = time.perf_counter()
+        with pytest.raises(ExpansionError) as info:
+            parse(text, 10)
+        assert time.perf_counter() - start < 1.0
+        assert products == []
+        assert isinstance(info.value, ParseError)
+        assert info.value.position == text.index("^")
+        assert "211915132 terms" in str(info.value)   # C(39, 9) monomials
+
+    def test_large_product_is_rejected(self):
+        factor = "(x1+x2+x3+x4+x5)^8"    # 495 terms
+        with pytest.raises(ExpansionError) as info:
+            parse(f"{factor}*{factor}", 5)
+        assert info.value.position == len(factor)
+        assert "245025 terms" in str(info.value)
+
+    def test_fixtures_are_far_below_the_limit(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "MAX_TERMS", polynomials.MAX_TERMS // 1000)
+        for name in ("motzkin", "hyperbola", "degenerate_line"):
+            load_problem(PROBLEMS / f"{name}.json")
 
 
 class TestEvaluate:
