@@ -27,8 +27,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import InfeasiblePointError, NonFiniteError
-from .problem import Problem, check_feasible
+from .errors import InfeasiblePointError
+from .problem import Problem, check_feasible, evaluate_finite
 from .solvers import min_norm_simplex_cone
 
 
@@ -79,10 +79,7 @@ _NOISE_FLOOR = 1e-7
 
 def _require_feasible(prob: Problem, x, cfg: RunConfig):
     """Feasibility report and the evaluation (f, g, h, Jf, Jg, Jh) at x."""
-    values = prob.evaluate(x)
-    if not all(np.all(np.isfinite(block)) for block in values):
-        raise NonFiniteError("a value or Jacobian entry at the point is not "
-                             "finite (overflow)")
+    values = evaluate_finite(prob, x)
     report = check_feasible(prob, x, cfg.tol_feas, cfg.tol_active)
     if not report.feasible:
         raise InfeasiblePointError(

@@ -4,7 +4,10 @@ Usage: vpa <command> --problem FILE [--config FILE] [--at COORDS]
             [--ybar LIST] --out DIR
 
 Commands: eval, rabier, mfcq, tangency, trace, classify, section, solve,
-verdict. Each writes <command>_report.json into the output directory
+verdict. Every command takes the same five options, so one flat parser
+(a positional command plus the options) serves them all; it is built
+once, at import, and reused by every `main` call, since parsing does not
+change it. Each writes <command>_report.json into the output directory
 (plus CSV exports for trace/solve/verdict). Exit status: 0 on success,
 1 on operation errors, 2 on input errors. Reports embed the full config
 and a hash of it, and are byte-identical across runs with the same
@@ -28,7 +31,7 @@ from .certificates import mfcq_probe, rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ParseError, ProblemValidationError, VpaError
 from .pipeline import run
-from .problem import Problem, check_feasible, load_problem, parse_ybar
+from .problem import check_feasible, evaluate_finite, load_problem, parse_ybar
 
 COMMANDS = ("eval", "rabier", "mfcq", "tangency", "trace", "classify",
             "section", "solve", "verdict")
@@ -109,8 +112,8 @@ def _resolve_ybar(args, file_ybar, p):
 
 
 def _cmd_eval(prob, ybar, point, cfg, outdir):
+    f, g, h, _, _, _ = evaluate_finite(prob, point)
     report = check_feasible(prob, point, cfg.tol_feas, cfg.tol_active)
-    f, g, h, _, _, _ = prob.evaluate(point)
     return {"f": list(f), "g": list(g), "h": list(h), "feasibility": report}
 
 
@@ -199,32 +202,24 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vpa",
-        description="Analyze constrained vector polynomial optimization problems.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--problem", required=True, help="problem JSON file")
-        cmd.add_argument("--config", default=None, help="config JSON file")
-        cmd.add_argument("--at", default=None,
-                         help="point as comma-separated coordinates")
-        cmd.add_argument("--ybar", default=None,
-                         help="reference value, numbers or +inf, comma-separated")
-        cmd.add_argument("--out", required=True, help="output directory")
-    return parser
+PARSER = argparse.ArgumentParser(
+    prog="vpa",
+    description="Analyze constrained vector polynomial optimization problems.")
+PARSER.add_argument("command", choices=COMMANDS)
+PARSER.add_argument("--problem", required=True, help="problem JSON file")
+PARSER.add_argument("--config", default=None, help="config JSON file")
+PARSER.add_argument("--at", default=None,
+                    help="point as comma-separated coordinates")
+PARSER.add_argument("--ybar", default=None,
+                    help="reference value, numbers or +inf, comma-separated")
+PARSER.add_argument("--out", required=True, help="output directory")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_INPUT
 
     try:
         cfg = _load_config(args.config)

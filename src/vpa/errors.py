@@ -17,7 +17,8 @@ class ParseError(VpaError, ValueError):
 
 class ExpansionError(ParseError):
     """A product or power of polynomials may form more than
-    `polynomials.MAX_TERMS` terms; raised before expanding."""
+    `polynomials.MAX_TERMS` terms, or has degree above
+    `polynomials.MAX_DEGREE`; raised before expanding."""
 
 
 class DimensionMismatchError(VpaError, ValueError):

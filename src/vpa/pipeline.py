@@ -30,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -104,3 +105,17 @@ def run(*stages: Stage):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+            _await_thread_exit()
+
+
+def _await_thread_exit():
+    """Wait, at most 1 s, until this process is back to one OS thread.
+
+    `shutdown` returns when the pool's threads have finished in Python, but
+    the OS may still list one as exiting; the next command would then see
+    two threads and run its units in-process.
+    """
+    deadline = time.monotonic() + 1.0
+    while (len(os.listdir("/proc/self/task")) > 1
+           and time.monotonic() < deadline):
+        time.sleep(0.0005)

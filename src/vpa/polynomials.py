@@ -8,7 +8,10 @@ polynomials is plain dict equality.  Term iteration, printing, and the
 internal arrays all follow ascending lexicographic order of the exponent
 tuples, which makes every downstream computation reproducible.
 
-Instances are immutable after construction and safe to share across threads.
+Instances are immutable after construction: the evaluation arrays and the
+derivative polynomials are derived from the terms on first use and
+memoised, so sharing an instance across threads can at worst build one of
+them twice.
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ COEFF_EPS = 1e-15
 # the most terms one product or power may form; the bundled fixtures stay
 # below 100 (Python spends about 1 us per term formed)
 MAX_TERMS = 100_000
+# the highest degree one product or power may reach; a monomial of degree
+# 1024 or more already overflows float64 at |x| = 2 (the fixtures: <= 6)
+MAX_DEGREE = 1000
 
 
 class Polynomial:
     """Canonical sparse polynomial in ``num_vars`` variables."""
 
-    __slots__ = ("num_vars", "_terms", "_exps", "_coeffs", "_grad", "_hess")
+    __slots__ = ("num_vars", "_terms", "_table", "_grad", "_hess")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, float]):
         if num_vars < 1:
@@ -47,14 +53,7 @@ class Polynomial:
         clean = {e: c for e, c in sorted(merged.items()) if abs(c) > COEFF_EPS}
         object.__setattr__(self, "num_vars", int(num_vars))
         object.__setattr__(self, "_terms", clean)
-        if clean:
-            exps = np.array(list(clean.keys()), dtype=np.int64)
-            coeffs = np.array(list(clean.values()), dtype=float)
-        else:
-            exps = np.zeros((0, num_vars), dtype=np.int64)
-            coeffs = np.zeros(0, dtype=float)
-        object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_grad", None)
         object.__setattr__(self, "_hess", None)
 
@@ -90,9 +89,7 @@ class Polynomial:
         return dict(self._terms)
 
     def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return int(self._exps.sum(axis=1).max())
+        return max(map(sum, self._terms), default=0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -137,6 +134,7 @@ class Polynomial:
             c = float(other)
             return Polynomial(self.num_vars, {e: c * v for e, v in self._terms.items()})
         other = self._coerce(other)
+        _check_degree(self.degree() + other.degree())
         _check_expansion(len(self._terms) * len(other._terms))
         terms: dict[tuple, float] = {}
         for e1, c1 in self._terms.items():
@@ -151,6 +149,8 @@ class Polynomial:
         if exponent != int(exponent) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         k = int(exponent)
+        degree = self.degree()
+        _check_degree(k * degree)
         if len(self._terms) > 1:
             # at most the multisets of k terms, and at most the monomials
             # of degree k * degree in num_vars variables (the second bound
@@ -158,7 +158,7 @@ class Polynomial:
             bound = math.comb(len(self._terms) + k - 1, k)
             if bound > MAX_TERMS:
                 n = self.num_vars
-                _check_expansion(min(bound, math.comb(n + k * self.degree(), n)))
+                _check_expansion(min(bound, math.comb(n + k * degree, n)))
         result = Polynomial.constant(self.num_vars, 1.0)
         base = self
         while k:
@@ -175,10 +175,16 @@ class Polynomial:
         if x.shape != (self.num_vars,):
             raise DimensionMismatchError(
                 f"point has shape {x.shape}, expected ({self.num_vars},)")
-        if self._coeffs.size == 0:
+        if not self._terms:
             return 0.0
-        monomials = np.prod(x[None, :] ** self._exps, axis=1)
-        return float(self._coeffs @ monomials)
+        if self._table is None:
+            # built on first use: parsing forms many intermediate
+            # polynomials that are never evaluated
+            object.__setattr__(self, "_table", (
+                np.array(list(self._terms), dtype=np.int64),
+                np.array(list(self._terms.values()), dtype=float)))
+        exps, coeffs = self._table
+        return float(coeffs @ np.prod(x[None, :] ** exps, axis=1))
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.evaluate(x)
@@ -246,6 +252,14 @@ def _check_expansion(terms: int):
     if terms > MAX_TERMS:
         raise ExpansionError(f"expansion may form {terms} terms, more than "
                              f"the limit of {MAX_TERMS}")
+
+
+def _check_degree(degree: int):
+    """Refuse, before expanding, a product or power of degree above
+    MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ExpansionError(f"expansion has degree {degree}, more than the "
+                             f"limit of {MAX_DEGREE}")
 
 
 def _format_coeff(c: float) -> str:
@@ -426,6 +440,6 @@ def parse(text: str, num_vars: int) -> Polynomial:
     Raises ParseError with the offending character position on malformed
     input, out-of-range variable indices, and negative/fractional exponents,
     and its subclass ExpansionError, before expanding, on a product or power
-    that may form more than MAX_TERMS terms.
+    that may form more than MAX_TERMS terms or has degree above MAX_DEGREE.
     """
     return _Parser(text, num_vars).parse()

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (DimensionMismatchError, ProblemValidationError,
-                     ProjectionError, RayError)
+from .errors import (DimensionMismatchError, NonFiniteError,
+                     ProblemValidationError, ProjectionError, RayError)
 from .polynomials import Polynomial, parse
 from .solvers import gauss_newton, random_unit_vector
 
@@ -125,6 +125,16 @@ class FeasibilityReport:
     max_equality_violation: float
     max_inequality_violation: float
     active: tuple[int, ...]   # 0-based indices into Problem.inequalities
+
+
+def evaluate_finite(prob: Problem, x) -> tuple[np.ndarray, ...]:
+    """`prob.evaluate(x)`, refusing a value or Jacobian entry that is not
+    finite with NonFiniteError."""
+    values = prob.evaluate(x)
+    if not all(np.all(np.isfinite(block)) for block in values):
+        raise NonFiniteError("a value or Jacobian entry at the point is not "
+                             "finite (overflow)")
+    return values
 
 
 def check_feasible(prob: Problem, x, tol_feas: float = DEFAULT_CONFIG.tol_feas,

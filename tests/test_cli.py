@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from vpa.cli import EXIT_INPUT, EXIT_OK, EXIT_OPERATION, main
+from vpa.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_OPERATION, PARSER, main
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 LIGHT = {
@@ -95,12 +95,13 @@ class TestPointwiseCommands:
     def test_overflow_is_operation_error(self, tmp_path):
         problem = tmp_path / "overflow.json"
         problem.write_text(json.dumps({"n": 1, "objectives": ["x1^400", "x1"]}))
-        out = tmp_path / "out"
-        rc = run(["rabier", "--problem", problem, "--at", "10", "--out", out])
-        assert rc == EXIT_OPERATION
-        rep = report(out, "rabier")
-        assert rep["status"] == "error"
-        assert rep["error"]["type"] == "NonFiniteError"
+        for command in ("rabier", "eval"):
+            out = tmp_path / command
+            rc = run([command, "--problem", problem, "--at", "10", "--out", out])
+            assert rc == EXIT_OPERATION
+            rep = report(out, command)
+            assert rep["status"] == "error"
+            assert rep["error"]["type"] == "NonFiniteError"
 
 
 class TestInputValidation:
@@ -114,17 +115,37 @@ class TestInputValidation:
 
     def test_oversized_expansion_is_input_error(self, tmp_path, capsys):
         terms = "+".join(f"x{i}" for i in range(1, 11))
-        bad = tmp_path / "huge.json"
-        bad.write_text(json.dumps({"n": 10, "objectives": [f"({terms})^30"]}))
-        out = tmp_path / "out"
-        rc = run(["verdict", "--problem", bad, "--out", out])
-        assert rc == EXIT_INPUT
-        assert "more than the limit" in capsys.readouterr().err
-        assert not (out / "verdict_report.json").exists()
+        for expr in (f"({terms})^30", "x1^99999999999999999999"):
+            bad = tmp_path / "huge.json"
+            bad.write_text(json.dumps({"n": 10, "objectives": [expr]}))
+            out = tmp_path / "out"
+            rc = run(["verdict", "--problem", bad, "--out", out])
+            assert rc == EXIT_INPUT
+            assert "more than the limit" in capsys.readouterr().err
+            assert not (out / "verdict_report.json").exists()
 
-    def test_unknown_command(self, tmp_path):
-        assert run(["frobnicate", "--problem", PROBLEMS / "motzkin.json",
-                    "--out", tmp_path / "out"]) == EXIT_INPUT
+    def test_unknown_command(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        problem = ["--problem", PROBLEMS / "motzkin.json"]
+        for argv in (["frobnicate", *problem, "--out", out], [],
+                     ["eval", "--out", out], ["eval", *problem]):
+            assert run(argv) == EXIT_INPUT
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verdict", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert run(argv) == EXIT_OK
+        assert "--problem" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_takes_the_five_options(self, command):
+        args = PARSER.parse_args([command, "--problem", "p.json",
+                                  "--config", "c.json", "--at", "1,2",
+                                  "--ybar", "+inf,0", "--out", "o"])
+        assert vars(args) == {"command": command, "problem": "p.json",
+                              "config": "c.json", "at": "1,2",
+                              "ybar": "+inf,0", "out": "o"}
 
     def test_missing_problem_file(self, tmp_path):
         assert run(["eval", "--problem", tmp_path / "nope.json",

@@ -8,6 +8,7 @@ import os
 import pathlib
 import pickle
 import signal
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -79,6 +80,17 @@ class TestRunner:
             assert seen == []
             read()
         assert seen == [0, 1, 2]
+
+    def test_back_to_back_runs_use_the_pool(self):
+        if not (sys.platform.startswith("linux")
+                and len(os.sched_getaffinity(0)) > 1
+                and len(os.listdir("/proc/self/task")) == 1):
+            pytest.skip("needs Linux, two CPUs and a single-threaded process")
+        stage = Stage(((os.getpid, ()),) * 2,
+                      lambda handles: [h.result() for h in handles])
+        for _ in range(20):
+            with deadline(60), pipeline.run(stage) as (pids,):
+                assert os.getpid() not in pids()
 
     def test_no_pool_for_one_unit(self):
         assert pipeline._pool_workers(1) == 0

@@ -95,8 +95,27 @@ class TestExpansionLimit:
         assert info.value.position == len(factor)
         assert "245025 terms" in str(info.value)
 
+    def test_huge_exponent_is_rejected_by_degree(self, monkeypatch):
+        products = []
+        multiply = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: products.append(1) or multiply(a, b))
+        with pytest.raises(ExpansionError) as info:
+            parse("x1^99999999999999999999", 1)
+        assert products == []
+        assert info.value.position == 2
+        assert "degree 99999999999999999999" in str(info.value)
+
+    def test_product_above_the_degree_limit_is_rejected(self):
+        assert parse("x1^600*x2^400", 2).degree() == polynomials.MAX_DEGREE
+        with pytest.raises(ExpansionError) as info:
+            parse("x1^600*x1^401", 1)
+        assert info.value.position == 6
+        assert "degree 1001" in str(info.value)
+
     def test_fixtures_are_far_below_the_limit(self, monkeypatch):
         monkeypatch.setattr(polynomials, "MAX_TERMS", polynomials.MAX_TERMS // 1000)
+        monkeypatch.setattr(polynomials, "MAX_DEGREE", polynomials.MAX_DEGREE // 100)
         for name in ("motzkin", "hyperbola", "degenerate_line"):
             load_problem(PROBLEMS / f"{name}.json")
 
@@ -202,5 +221,6 @@ def test_canonical_form_properties(exps, coeffs):
 def test_zero_polynomial_prints_and_evaluates():
     z = Polynomial.zero(3)
     assert z.to_string() == "0"
+    assert z.degree() == 0
     assert z.evaluate([1.0, 2.0, 3.0]) == 0.0
     assert parse("0", 3) == z
