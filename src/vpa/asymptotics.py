@@ -451,6 +451,8 @@ def _newton_stall(res_jac, z0, max_iter=60):
         improved = False
         for _ in range(25):
             z_new = z + step * d
+            if np.all(z_new == z):
+                break       # z + step*d rounds to z: halving cannot move it
             res_new, J_new = res_jac(z_new)
             phi_new = float(np.linalg.norm(res_new))
             if phi_new < phi:

@@ -64,7 +64,9 @@ def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        # the fields themselves: dataclasses.asdict would deep-copy them first
+        return {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -232,6 +234,9 @@ def main(argv=None) -> int:
         ybar = _resolve_ybar(args, file_ybar, prob.p)
         handler, needs_point = _HANDLERS[args.command]
         point = _require_at(args, prob.n) if needs_point else None
+        if args.command == "section" and not any(map(math.isfinite, ybar)):
+            raise InputError("section needs a finite ybar component "
+                             "(--ybar or the problem file's ybar)")
     except InputError as exc:
         print(f"vpa: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

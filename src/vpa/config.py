@@ -61,7 +61,7 @@ class RunConfig:
         return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

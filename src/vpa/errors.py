@@ -17,8 +17,9 @@ class ParseError(VpaError, ValueError):
 
 class ExpansionError(ParseError):
     """A product or power of polynomials may form more than
-    `polynomials.MAX_TERMS` terms, or has degree above
-    `polynomials.MAX_DEGREE`; raised before expanding."""
+    `polynomials.MAX_TERMS` terms, or has degree or exponent above
+    `polynomials.MAX_DEGREE` (raised before expanding), or an operation
+    forms a coefficient that overflows to infinity."""
 
 
 class DimensionMismatchError(VpaError, ValueError):

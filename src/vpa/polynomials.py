@@ -17,6 +17,7 @@ them twice.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Mapping, Sequence
 
@@ -51,11 +52,19 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             merged[exps] = merged.get(exps, 0.0) + float(coeff)
         clean = {e: c for e, c in sorted(merged.items()) if abs(c) > COEFF_EPS}
-        object.__setattr__(self, "num_vars", int(num_vars))
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_table", None)
-        object.__setattr__(self, "_grad", None)
-        object.__setattr__(self, "_hess", None)
+        self._init(int(num_vars), clean)
+
+    @classmethod
+    def _from_terms(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """Wrap a canonical term map (see `_canonical`) without the public
+        constructor's validation."""
+        poly = object.__new__(cls)
+        poly._init(num_vars, terms)
+        return poly
+
+    def _init(self, num_vars: int, terms: dict):
+        for name, value in zip(self.__slots__, (num_vars, terms, None, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
@@ -89,7 +98,7 @@ class Polynomial:
         return dict(self._terms)
 
     def degree(self) -> int:
-        return max(map(sum, self._terms), default=0)
+        return _degree(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -104,69 +113,42 @@ class Polynomial:
 
     # -- arithmetic (enough for parsing and differentiation) ----------------
 
-    def _coerce(self, other) -> "Polynomial":
+    def _coerce(self, other) -> dict:
         if isinstance(other, Polynomial):
             if other.num_vars != self.num_vars:
                 raise DimensionMismatchError("mixed num_vars in polynomial arithmetic")
-            return other
-        return Polynomial.constant(self.num_vars, float(other))
+            return other._terms
+        return Polynomial.constant(self.num_vars, float(other))._terms
+
+    def _new(self, terms: dict) -> "Polynomial":
+        return Polynomial._from_terms(self.num_vars, terms)
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0.0) + c
-        return Polynomial(self.num_vars, terms)
+        return self._new(_add(self._terms, self._coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self._terms.items()})
+        return self._new(_neg(self._terms))
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        return self._new(_add(self._terms, _neg(self._coerce(other))))
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
+        return self._new(_add(self._coerce(other), _neg(self._terms)))
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = float(other)
-            return Polynomial(self.num_vars, {e: c * v for e, v in self._terms.items()})
-        other = self._coerce(other)
-        _check_degree(self.degree() + other.degree())
-        _check_expansion(len(self._terms) * len(other._terms))
-        terms: dict[tuple, float] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0.0) + c1 * c2
-        return Polynomial(self.num_vars, terms)
+            return self._new(_canonical({e: c * v for e, v in self._terms.items()}))
+        return self._new(_mul(self._terms, self._coerce(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent != int(exponent) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        k = int(exponent)
-        degree = self.degree()
-        _check_degree(k * degree)
-        if len(self._terms) > 1:
-            # at most the multisets of k terms, and at most the monomials
-            # of degree k * degree in num_vars variables (the second bound
-            # is computed only when the first is too large)
-            bound = math.comb(len(self._terms) + k - 1, k)
-            if bound > MAX_TERMS:
-                n = self.num_vars
-                _check_expansion(min(bound, math.comb(n + k * degree, n)))
-        result = Polynomial.constant(self.num_vars, 1.0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return self._new(_pow(self._terms, int(exponent), self.num_vars))
 
     # -- evaluation and differentiation -------------------------------------
 
@@ -246,6 +228,69 @@ class Polynomial:
         return f"Polynomial({self.num_vars}, {self.to_string()!r})"
 
 
+# -- term maps ----------------------------------------------------------------
+#
+# Expansion runs on plain term maps, dicts from exponent tuples to float
+# coefficients. Every operation returns a canonical map: like terms merged,
+# coefficients at or below COEFF_EPS dropped, keys in ascending lexicographic
+# order, which is what Polynomial's constructor would make of it. The parser
+# and Polynomial's operators share these functions.
+
+def _canonical(terms: dict) -> dict:
+    """Sort a merged term map and drop coefficients at or below COEFF_EPS;
+    refuse a coefficient that overflowed to infinity."""
+    clean = {e: c for e, c in sorted(terms.items()) if abs(c) > COEFF_EPS}
+    if math.inf in map(abs, clean.values()):
+        raise ExpansionError("a coefficient overflows to infinity")
+    return clean
+
+
+def _degree(terms: dict) -> int:
+    return max(map(sum, terms), default=0)
+
+
+def _add(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for e, c in b.items():
+        terms[e] = terms.get(e, 0.0) + c
+    return _canonical(terms)
+
+
+def _neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    _check_degree(_degree(a) + _degree(b))
+    _check_expansion(len(a) * len(b))
+    terms: dict[tuple, float] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(operator.add, e1, e2))
+            terms[key] = terms.get(key, 0.0) + c1 * c2
+    return _canonical(terms)
+
+
+def _pow(a: dict, k: int, num_vars: int) -> dict:
+    degree = _degree(a)
+    _check_degree(k * degree)
+    if len(a) > 1:
+        # at most the multisets of k terms, and at most the monomials of
+        # degree k * degree in num_vars variables (the second bound is
+        # computed only when the first is too large)
+        bound = math.comb(len(a) + k - 1, k)
+        if bound > MAX_TERMS:
+            _check_expansion(min(bound, math.comb(num_vars + k * degree, num_vars)))
+    result = {(0,) * num_vars: 1.0}
+    base = a
+    while k:
+        if k & 1:
+            result = _mul(result, base)
+        base = _mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
 def _check_expansion(terms: int):
     """Refuse, before expanding, a product or power that may form more than
     MAX_TERMS terms."""
@@ -321,6 +366,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the token list; every rule returns a canonical
+    term map."""
+
     def __init__(self, text: str, num_vars: int):
         self.text = text
         self.num_vars = num_vars
@@ -341,7 +389,7 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> dict:
         kind, _, pos = self.peek()
         if kind == "end":
             raise ParseError("empty expression", pos)
@@ -351,28 +399,28 @@ class _Parser:
             raise ParseError(f"unexpected token {value!r}", pos)
         return result
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         result = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
+                result = _at(pos, _add, result, rhs if value == "+" else _neg(rhs))
             else:
                 return result
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.signed()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = _at(pos, result.__mul__, self.signed())
+                result = _at(pos, _mul, result, self.signed())
             else:
                 return result
 
-    def signed(self) -> Polynomial:
+    def signed(self) -> dict:
         sign = 1.0
         while True:
             kind, value, _ = self.peek()
@@ -383,19 +431,19 @@ class _Parser:
             else:
                 break
         p = self.power()
-        return p if sign > 0 else -p
+        return p if sign > 0 else _neg(p)
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         result = self.atom()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "^":
                 self.advance()
-                result = _at(pos, result.__pow__, self.exponent())
+                result = _at(pos, _pow, result, self.exponent(pos), self.num_vars)
             else:
                 return result
 
-    def exponent(self) -> int:
+    def exponent(self, caret: int) -> int:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             raise ParseError("negative exponent", pos)
@@ -404,20 +452,30 @@ class _Parser:
         self.advance()
         if "." in value:
             raise ParseError("fractional exponent", pos)
-        return int(value)
+        digits = value.lstrip("0") or "0"
+        if _above(digits, MAX_DEGREE):
+            raise ExpansionError(f"exponent above the degree limit: degree "
+                                 f"{_shown(digits)} is more than the limit of "
+                                 f"{MAX_DEGREE}", caret)
+        return int(digits)
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, value, pos = self.advance()
+        n = self.num_vars
         if kind == "num":
-            return Polynomial.constant(self.num_vars, float(value))
+            coeff = float(value)
+            if math.isinf(coeff):
+                raise ParseError("number overflows to infinity", pos)
+            return _canonical({(0,) * n: coeff})
         if kind == "var":
-            index = int(value[1:])
-            if index < 1:
+            digits = value[1:].lstrip("0") or "0"
+            if digits == "0":
                 raise ParseError("variable index 0 is invalid (variables are x1..xn)", pos)
-            if index > self.num_vars:
+            if _above(digits, n):
                 raise ParseError(
-                    f"variable index {index} exceeds num_vars={self.num_vars}", pos)
-            return Polynomial.variable(self.num_vars, index)
+                    f"variable index {_shown(digits)} exceeds num_vars={n}", pos)
+            index = int(digits)
+            return {(0,) * (index - 1) + (1,) + (0,) * (n - index): 1.0}
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -426,10 +484,21 @@ class _Parser:
                          if value else "unexpected end of expression", pos)
 
 
-def _at(pos: int, op, operand) -> Polynomial:
-    """Apply an operator, tagging an ExpansionError with its position."""
+def _above(digits: str, limit: int) -> bool:
+    """Whether a decimal literal without leading zeros is above `limit`,
+    judged by its digit count first: int() refuses more than 4300 digits."""
+    return len(digits) > len(str(limit)) or int(digits) > limit
+
+
+def _shown(digits: str) -> str:
+    return digits if len(digits) <= 40 else f"of {len(digits)} digits"
+
+
+def _at(pos: int, op, *operands) -> dict:
+    """Apply a term-map operation, tagging an ExpansionError with the
+    position of its operator."""
     try:
-        return op(operand)
+        return op(*operands)
     except ExpansionError as exc:
         raise ExpansionError(str(exc), pos) from None
 
@@ -438,8 +507,12 @@ def parse(text: str, num_vars: int) -> Polynomial:
     """Parse an expression over x1..xn into canonical expanded form.
 
     Raises ParseError with the offending character position on malformed
-    input, out-of-range variable indices, and negative/fractional exponents,
-    and its subclass ExpansionError, before expanding, on a product or power
-    that may form more than MAX_TERMS terms or has degree above MAX_DEGREE.
+    input, out-of-range variable indices, negative/fractional exponents and
+    number literals that overflow to infinity, and its subclass
+    ExpansionError, before expanding, on a product or power that may form
+    more than MAX_TERMS terms or has degree or exponent above MAX_DEGREE,
+    and on an operation whose coefficient overflows to infinity.
     """
-    return _Parser(text, num_vars).parse()
+    if num_vars < 1:
+        raise ValueError("num_vars must be a positive integer")
+    return Polynomial._from_terms(num_vars, _Parser(text, num_vars).parse())

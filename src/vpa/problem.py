@@ -288,6 +288,8 @@ def problem_from_dict(data: dict) -> tuple[Problem, tuple[float, ...] | None]:
         n = int(data["n"])
     except (KeyError, TypeError, ValueError):
         raise ProblemValidationError("problem file needs an integer field 'n'") from None
+    if n < 1:
+        raise ProblemValidationError(f"problem file has n={n}, needs n >= 1")
     objectives = data.get("objectives")
     if not objectives:
         raise ProblemValidationError("problem file needs a nonempty 'objectives' list")

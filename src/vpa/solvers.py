@@ -80,6 +80,8 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
                 lam *= 10.0
                 continue
             x_new = x + d
+            if np.all(x_new == x):
+                break       # x + d rounds to x: more damping only shortens d
             r_new, J_new = res_jac(x_new)
             phi_new = 0.5 * float(r_new @ r_new)
             if phi_new < phi:

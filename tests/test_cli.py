@@ -124,6 +124,41 @@ class TestInputValidation:
             assert "more than the limit" in capsys.readouterr().err
             assert not (out / "verdict_report.json").exists()
 
+    @pytest.mark.parametrize("expr, n", [
+        pytest.param("10^400*x1", 1, id="power-overflows"),
+        pytest.param("2^99999999999999999999*x1", 1, id="exponent-literal"),
+        pytest.param("1" * 401 + "*x1", 1, id="literal-overflows"),
+        pytest.param("x1^" + "9" * 5000, 1, id="exponent-beyond-int-limit"),
+        pytest.param("x" + "1" * 5000, 1, id="variable-index-beyond-int-limit"),
+        pytest.param("x1", 0, id="no-variables"),
+    ])
+    def test_unusable_expression_is_input_error(self, tmp_path, capsys,
+                                                expr, n):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": n, "objectives": [expr]}))
+        out = tmp_path / "out"
+        rc = run(["eval", "--problem", bad, "--at", "1", "--out", out])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("vpa: input error: bad problem file")
+        assert "position" in err or n == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixture, ybar", [
+        ("degenerate_line", None),        # the file's ybar is +inf, +inf
+        ("hyperbola", "+inf,+inf"),
+        ("motzkin", "inf,+inf"),
+    ])
+    def test_section_needs_a_finite_ybar(self, tmp_path, capsys, fixture, ybar):
+        out = tmp_path / "out"
+        argv = ["section", "--problem", PROBLEMS / f"{fixture}.json",
+                "--out", out]
+        if ybar is not None:
+            argv.append(f"--ybar={ybar}")
+        assert run(argv) == EXIT_INPUT
+        assert "finite ybar" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command(self, tmp_path, capsys):
         out = tmp_path / "out"
         problem = ["--problem", PROBLEMS / "motzkin.json"]

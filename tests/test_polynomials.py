@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,8 +76,8 @@ class TestParse:
 class TestExpansionLimit:
     def test_huge_power_is_rejected_before_expanding(self, monkeypatch):
         products = []
-        multiply = Polynomial.__mul__
-        monkeypatch.setattr(Polynomial, "__mul__",
+        multiply = polynomials._mul
+        monkeypatch.setattr(polynomials, "_mul",
                             lambda a, b: products.append(1) or multiply(a, b))
         text = "(" + "+".join(f"x{i}" for i in range(1, 11)) + ")^30"
         start = time.perf_counter()
@@ -97,8 +98,8 @@ class TestExpansionLimit:
 
     def test_huge_exponent_is_rejected_by_degree(self, monkeypatch):
         products = []
-        multiply = Polynomial.__mul__
-        monkeypatch.setattr(Polynomial, "__mul__",
+        multiply = polynomials._mul
+        monkeypatch.setattr(polynomials, "_mul",
                             lambda a, b: products.append(1) or multiply(a, b))
         with pytest.raises(ExpansionError) as info:
             parse("x1^99999999999999999999", 1)
@@ -113,11 +114,99 @@ class TestExpansionLimit:
         assert info.value.position == 6
         assert "degree 1001" in str(info.value)
 
+    BIG = "1" + "0" * 308      # 1e308, the largest power of ten below inf
+
+    @pytest.mark.parametrize("text, error, position", [
+        pytest.param("10^400*x1", ExpansionError, 2, id="power-overflows"),
+        pytest.param("2^99999999999999999999*x1", ExpansionError, 1,
+                     id="exponent-literal"),
+        pytest.param("x1^" + "9" * 5000, ExpansionError, 2,
+                     id="exponent-beyond-int-limit"),
+        pytest.param("1" * 401 + "*x1", ParseError, 0, id="literal-overflows"),
+        pytest.param("2*x" + "1" * 5000, ParseError, 2,
+                     id="variable-index-beyond-int-limit"),
+        pytest.param("10^200*10^200*x1", ExpansionError, 6,
+                     id="product-overflows"),
+        pytest.param(f"{BIG}*x1 + {BIG}*x1", ExpansionError, len(BIG) + 4,
+                     id="sum-overflows"),
+    ])
+    def test_non_finite_and_huge_literals_are_rejected(self, text, error,
+                                                       position):
+        with pytest.raises(error) as info:
+            parse(text, 1)
+        assert type(info.value) is error
+        assert info.value.position == position
+        assert len(str(info.value)) < 200
+
+    def test_exponent_limit_is_the_degree_limit(self):
+        assert parse("1^1000", 1) == parse("1", 1)
+        assert parse("x1^0001000", 1).degree() == polynomials.MAX_DEGREE
+        with pytest.raises(ExpansionError, match="degree 1001"):
+            parse("1^1001", 1)
+
     def test_fixtures_are_far_below_the_limit(self, monkeypatch):
         monkeypatch.setattr(polynomials, "MAX_TERMS", polynomials.MAX_TERMS // 1000)
         monkeypatch.setattr(polynomials, "MAX_DEGREE", polynomials.MAX_DEGREE // 100)
         for name in ("motzkin", "hyperbola", "degenerate_line"):
             load_problem(PROBLEMS / f"{name}.json")
+
+
+def expression_trees(n):
+    """(text, precedence, degree, build) for random expressions over
+    x1..xn: small integer literals, + - * ^, unary minus, and only the
+    parentheses that the grammar's precedence needs. `build(constant,
+    variable)` rebuilds the same expression from leaf constructors with
+    Python operators."""
+    # precedence: sum 1, product 2, signed 3, power 4, atom 5
+    leaves = st.one_of(
+        st.integers(0, 9).map(lambda k: (str(k), 5, 0,
+                                          lambda c, v, k=k: c(k))),
+        st.integers(1, n).map(lambda i: (f"x{i}", 5, 1,
+                                         lambda c, v, i=i: v(i))))
+
+    def wrap(node, least):
+        text, prec = node[0], node[1]
+        return text if prec >= least else f"({text})"
+
+    def nodes(children):
+        def binary(op):
+            def make(pair):
+                a, b = pair
+                if op == "*":
+                    text = f"{wrap(a, 2)} * {wrap(b, 3)}"
+                    return (text, 2, a[2] + b[2],
+                            lambda c, v: a[3](c, v) * b[3](c, v))
+                text = f"{wrap(a, 1)} {op} {wrap(b, 2)}"
+                combine = ((lambda x, y: x + y) if op == "+"
+                           else (lambda x, y: x - y))
+                return (text, 1, max(a[2], b[2]),
+                        lambda c, v: combine(a[3](c, v), b[3](c, v)))
+            return st.tuples(children, children).map(make)
+
+        power = st.tuples(children, st.integers(0, 3)).map(
+            lambda t: (f"{wrap(t[0], 4)}^{t[1]}", 4, t[0][2] * t[1],
+                       lambda c, v: t[0][3](c, v) ** t[1]))
+        negate = children.map(lambda a: (f"-{wrap(a, 3)}", 3, a[2],
+                                         lambda c, v: -a[3](c, v)))
+        return st.one_of(binary("+"), binary("-"), binary("*"), power, negate)
+
+    return st.recursive(leaves, nodes, max_leaves=8).filter(lambda t: t[2] <= 8)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), expression_trees(n))))
+def test_parse_matches_sympy_and_polynomial_operators(case):
+    n, (text, _, _, build) = case
+    parsed = parse(text, n)
+    symbols = sympy.symbols(f"x1:{n + 1}")
+    expanded = sympy.Poly(build(sympy.Integer, lambda i: symbols[i - 1]),
+                          *symbols)
+    oracle = {exps: float(coeff) for exps, coeff in expanded.terms() if coeff}
+    assert parsed.terms == oracle
+    built = build(lambda k: Polynomial.constant(n, k),
+                  lambda i: Polynomial.variable(n, i))
+    assert built == parsed
 
 
 class TestEvaluate:

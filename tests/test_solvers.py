@@ -57,3 +57,22 @@ class TestMinNormSimplexCone:
         monkeypatch.setattr(solvers, "nnls", stalled)
         with pytest.raises(KernelError):
             min_norm_simplex_cone(np.eye(2), 1)
+
+
+class TestGaussNewton:
+    def test_exact_zero_residual_makes_one_evaluation(self):
+        # x + d == x from the first trial step on: raising the damping
+        # cannot move x, so no trial point is evaluated
+        calls = []
+        A = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]])
+        x0 = np.array([1.0, -2.0])
+        b = A @ x0
+
+        def res_jac(x):
+            calls.append(x.copy())
+            return A @ x - b, A
+
+        x, accepted, resnorm = solvers.gauss_newton(res_jac, x0,
+                                                    accept=lambda _: False)
+        assert len(calls) == 1
+        assert np.array_equal(x, x0) and not accepted and resnorm == 0.0
