@@ -28,7 +28,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
                      ProjectionError, TraceError)
 from .pipeline import Stage, run
-from .problem import (Problem, RaySample, check_feasible, polish_to_slice,
+from .problem import (Problem, RaySample, _slice_ok, polish_to_slice,
                       project_to_sphere_slice)
 from .solvers import minimize_auglag, random_unit_vector, simplex_lattice
 
@@ -166,12 +166,7 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     variety. The sphere residual is scaled by 1/(2r) for conditioning.
     """
     finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
-
-    # normalize the weighted objective to O(1) at the start: far out on the
-    # sphere its gradient grows polynomially in r and would otherwise
-    # overpower any bounded penalty on degenerate constraint sets
-    g0 = weights @ prob.jac_f(start)
-    obj_scale = 1.0 + float(np.max(np.abs(g0))) if g0.size else 1.0
+    obj_scale = _objective_scale(prob, weights, start)
 
     def evaluate(x):
         fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
@@ -194,6 +189,15 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
         gtol=1e-9,
         divergence_cap=max(cfg.divergence_cap, 10.0 * r),
     )
+
+
+def _objective_scale(prob: Problem, weights: np.ndarray, x) -> float:
+    """1 + max |weights @ Jf(x)|, which normalizes the weighted objective to
+    O(1) at x: far out on the sphere its gradient grows polynomially in r
+    and would otherwise overpower any bounded penalty on degenerate
+    constraint sets."""
+    g0 = weights @ prob.jac_f(x)
+    return 1.0 + float(np.max(np.abs(g0))) if g0.size else 1.0
 
 
 def trace_tangency(prob: Problem, ybar: Sequence[float],
@@ -274,9 +278,7 @@ def _chain_weight_draws(p: int, count: int, rng) -> list[np.ndarray]:
 
 
 def _slice_point_ok(prob, x, r, ybar, cfg):
-    report = check_feasible(prob, x, cfg.tol_feas, cfg.tol_active)
-    if not (report.feasible
-            and abs(float(np.linalg.norm(x)) - r) <= cfg.tol_feas * r):
+    if not _slice_ok(prob, x, r, cfg):
         return False
     # section cuts must stay satisfied when the trace is filtered to them
     slack = cfg.tol_active + cfg.tol_feas * max(1.0, r)
@@ -352,8 +354,7 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
     n = prob.n
     x0 = np.asarray(x0, dtype=float)
     finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
-    g0 = weights @ prob.jac_f(x0)
-    obj_scale = 1.0 + float(np.max(np.abs(g0))) if g0.size else 1.0
+    obj_scale = _objective_scale(prob, weights, x0)
 
     probe = x0 if active_from is None else np.asarray(active_from, dtype=float)
     fv0, _, hv0, _, _, _ = prob.evaluate(probe)
@@ -362,43 +363,30 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
     active_cut = [k for k, y in finite
                   if (y - fv0[k]) <= window * max(1.0, abs(y))]
 
-    def obj_hess(x):
-        return sum(w * poly.hessian_at(x)
-                   for w, poly in zip(weights, prob.objectives)) / obj_scale
-
     def solve_for(active_h, active_cut, x_start):
         def constraint_rows(x):
-            """Objective gradient and the active constraints' values,
-            Jacobian rows and Hessians at x."""
-            vals, jacs, hess = [], [], []
+            """Objective gradient and the active constraints' values and
+            Jacobian rows at x."""
             fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-            for i, poly in enumerate(prob.equalities):
-                vals.append(gv[i])
-                jacs.append(Jg[i])
-                hess.append(poly.hessian_at(x))
-            vals.append((float(x @ x) - r * r) / (2.0 * r * r))
-            jacs.append(x / (r * r))
-            hess.append(np.eye(n) / (r * r))
-            for j in active_h:
-                vals.append(hv[j])
-                jacs.append(Jh[j])
-                hess.append(prob.inequalities[j].hessian_at(x))
-            for k in active_cut:
-                vals.append(ybar[k] - fv[k])
-                jacs.append(-Jf[k])
-                hess.append(-prob.objectives[k].hessian_at(x))
+            vals = [*gv, (float(x @ x) - r * r) / (2.0 * r * r),
+                    *hv[active_h], *(ybar[k] - fv[k] for k in active_cut)]
+            jacs = [*Jg, x / (r * r), *Jh[active_h], *(-Jf[active_cut])]
             return ((weights @ Jf) / obj_scale, np.array(vals),
-                    np.array(jacs).reshape(len(vals), n), hess)
+                    np.array(jacs).reshape(len(vals), n))
 
-        grad0, vals0, jacs0, _ = constraint_rows(x_start)
+        grad0, vals0, jacs0 = constraint_rows(x_start)
         lam0 = np.linalg.lstsq(jacs0.T, grad0, rcond=None)[0]
         k = vals0.size
 
         def res_jac(z):
             x, lam = z[:n], z[n:]
-            grad, vals, jacs, hess = constraint_rows(x)
+            grad, vals, jacs = constraint_rows(x)
             stat = grad - jacs.T @ lam
-            Hlag = obj_hess(x) - sum(l * Hc for l, Hc in zip(lam, hess))
+            # the active constraints' Hessians, in the order of their rows
+            Hf, Hg, Hh = prob.hessians(x)
+            hess = [*Hg, np.eye(n) / (r * r), *Hh[active_h], *(-Hf[active_cut])]
+            Hlag = (sum(w * H for w, H in zip(weights, Hf)) / obj_scale
+                    - sum(l * Hc for l, Hc in zip(lam, hess)))
             J = np.zeros((n + k, n + k))
             J[:n, :n] = Hlag
             J[:n, n:] = -jacs.T

@@ -131,13 +131,27 @@ def _cmd_tangency(prob, ybar, point, cfg, outdir):
     return {"tangency": tangency_membership(prob, point, cfg)}
 
 
-def _cmd_trace(prob, ybar, point, cfg, outdir):
-    traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg)
+def _write_trace(outdir, prob, traces) -> int:
+    """trace.csv of the traces' records; returns the record count."""
     records = flatten_records(traces)
     asymptotics.write_trace_csv(outdir / "trace.csv", records, prob.n, prob.p)
+    return len(records)
+
+
+def _write_archive(outdir, prob, archive) -> list[dict]:
+    """front.csv and archive.json; returns the archive's JSON form for the
+    report."""
+    pareto.write_front_csv(outdir / "front.csv", archive, prob.p)
+    data = pareto.archive_to_jsonable(archive)
+    (outdir / "archive.json").write_text(json.dumps(data, indent=2, sort_keys=True))
+    return data
+
+
+def _cmd_trace(prob, ybar, point, cfg, outdir):
+    traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg)
     return {
         "traces": traces,
-        "record_count": len(records),
+        "record_count": _write_trace(outdir, prob, traces),
         "csv": "trace.csv",
     }
 
@@ -162,23 +176,16 @@ def _cmd_section(prob, ybar, point, cfg, outdir):
 
 def _cmd_solve(prob, ybar, point, cfg, outdir):
     archive = pareto.solve_front(prob, ybar, cfg)
-    pareto.write_front_csv(outdir / "front.csv", archive, prob.p)
-    (outdir / "archive.json").write_text(
-        json.dumps(pareto.archive_to_jsonable(archive), indent=2, sort_keys=True))
     return {
-        "archive": pareto.archive_to_jsonable(archive),
+        "archive": _write_archive(outdir, prob, archive),
         "csv": "front.csv",
     }
 
 
 def _cmd_verdict(prob, ybar, point, cfg, outdir):
     report = pareto.existence_verdict(prob, ybar, cfg)
-    pareto.write_front_csv(outdir / "front.csv", report.archive, prob.p)
-    (outdir / "archive.json").write_text(
-        json.dumps(pareto.archive_to_jsonable(report.archive),
-                   indent=2, sort_keys=True))
-    records = flatten_records(report.traces)
-    asymptotics.write_trace_csv(outdir / "trace.csv", records, prob.n, prob.p)
+    archive = _write_archive(outdir, prob, report.archive)
+    _write_trace(outdir, prob, report.traces)
     return {
         "status": report.status,
         "failing_hypotheses": report.failing_hypotheses,
@@ -186,7 +193,7 @@ def _cmd_verdict(prob, ybar, point, cfg, outdir):
         "mfcq_evidence": report.mfcq,
         "section": report.section,
         "verdicts": report.verdicts,
-        "archive": pareto.archive_to_jsonable(report.archive),
+        "archive": archive,
         "notes": report.notes,
     }
 

@@ -1,17 +1,18 @@
-"""Sparse multivariate polynomials: parsing, printing, evaluation, gradients.
+"""Sparse multivariate polynomials: parsing, printing and exact algebra.
 
 A polynomial over variables x1..xn is stored canonically as a map from
 exponent tuples (length n, nonnegative ints) to nonzero float coefficients.
 Like terms are merged at construction and coefficients whose magnitude falls
 below ``COEFF_EPS`` after merging are dropped, so structural equality of two
-polynomials is plain dict equality.  Term iteration, printing, and the
-internal arrays all follow ascending lexicographic order of the exponent
-tuples, which makes every downstream computation reproducible.
+polynomials is plain dict equality.  Term iteration and printing follow
+ascending lexicographic order of the exponent tuples, which makes every
+downstream computation reproducible.  Instances hold their terms only and
+are immutable.
 
-Instances are immutable after construction: the evaluation arrays and the
-derivative polynomials are derived from the terms on first use and
-memoised, so sharing an instance across threads can at worst build one of
-them twice.
+The numeric work happens elsewhere: `Problem` compiles the term maps of all
+its polynomials and of their partials (computed here by `_partial`) into
+monomial tables. `Polynomial.evaluate`, `gradient` and `hessian_at` are
+plain reference implementations that those tables are tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ MAX_DEGREE = 1000
 class Polynomial:
     """Canonical sparse polynomial in ``num_vars`` variables."""
 
-    __slots__ = ("num_vars", "_terms", "_table", "_grad", "_hess")
+    __slots__ = ("num_vars", "_terms")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, float]):
         if num_vars < 1:
@@ -63,8 +64,8 @@ class Polynomial:
         return poly
 
     def _init(self, num_vars: int, terms: dict):
-        for name, value in zip(self.__slots__, (num_vars, terms, None, None, None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
@@ -150,7 +151,7 @@ class Polynomial:
             raise ValueError("polynomial powers must be nonnegative integers")
         return self._new(_pow(self._terms, int(exponent), self.num_vars))
 
-    # -- evaluation and differentiation -------------------------------------
+    # -- reference evaluation ----------------------------------------------
 
     def evaluate(self, x: Sequence[float]) -> float:
         x = np.asarray(x, dtype=float)
@@ -159,52 +160,18 @@ class Polynomial:
                 f"point has shape {x.shape}, expected ({self.num_vars},)")
         if not self._terms:
             return 0.0
-        if self._table is None:
-            # built on first use: parsing forms many intermediate
-            # polynomials that are never evaluated
-            object.__setattr__(self, "_table", (
-                np.array(list(self._terms), dtype=np.int64),
-                np.array(list(self._terms.values()), dtype=float)))
-        exps, coeffs = self._table
+        exps = np.array(list(self._terms), dtype=np.int64)
+        coeffs = np.array(list(self._terms.values()), dtype=float)
         return float(coeffs @ np.prod(x[None, :] ** exps, axis=1))
 
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.evaluate(x)
-
-    def differentiate(self, var: int) -> "Polynomial":
-        """Partial derivative with respect to x_{var+1} (0-based var index)."""
-        if not 0 <= var < self.num_vars:
-            raise ValueError(f"variable index {var} out of range")
-        terms: dict[tuple, float] = {}
-        for exps, coeff in self._terms.items():
-            k = exps[var]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[var] = k - 1
-            terms[tuple(new)] = coeff * k
-        return Polynomial(self.num_vars, terms)
-
     def gradient(self) -> tuple["Polynomial", ...]:
-        """All partial derivatives, cached (the instance is immutable)."""
-        if self._grad is None:
-            grad = tuple(self.differentiate(i) for i in range(self.num_vars))
-            object.__setattr__(self, "_grad", grad)
-        return self._grad
-
-    def gradient_at(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([g.evaluate(x) for g in self.gradient()], dtype=float)
+        """All first partials, x1 first."""
+        return tuple(self._new(_partial(self._terms, i))
+                     for i in range(self.num_vars))
 
     def hessian_at(self, x: Sequence[float]) -> np.ndarray:
-        if self._hess is None:
-            grad = self.gradient()
-            hess = tuple(tuple(grad[i].differentiate(j)
-                               for j in range(self.num_vars))
-                         for i in range(self.num_vars))
-            object.__setattr__(self, "_hess", hess)
-        n = self.num_vars
-        return np.array([[self._hess[i][j].evaluate(x) for j in range(n)]
-                         for i in range(n)], dtype=float)
+        return np.array([[h.evaluate(x) for h in g.gradient()]
+                         for g in self.gradient()], dtype=float)
 
     # -- printing ------------------------------------------------------------
 
@@ -258,6 +225,14 @@ def _add(a: dict, b: dict) -> dict:
 
 def _neg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
+
+
+def _partial(a: dict, var: int) -> dict:
+    """Partial derivative in x_{var+1} (0-based `var`). Decrementing one
+    exponent keeps distinct keys distinct and in order, and multiplying by
+    it cannot shrink a coefficient, so the result is canonical as it is."""
+    return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+            for e, c in a.items() if e[var]}
 
 
 def _mul(a: dict, b: dict) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, NonFiniteError,
                      ProblemValidationError, ProjectionError, RayError)
-from .polynomials import Polynomial, parse
+from .polynomials import Polynomial, _partial, parse
 from .solvers import gauss_newton, random_unit_vector
 
 
@@ -42,8 +42,13 @@ class Problem:
             if poly.num_vars != self.n:
                 raise ProblemValidationError(
                     f"polynomial has num_vars={poly.num_vars}, problem has n={self.n}")
-        self._exps, self._coeffs = _compile(polys, self.n)
+        # row k is polys[k]; row len(polys) + k*n + i its partial in x_{i+1}
+        self._maps = [poly._terms for poly in polys]
+        self._exps, self._coeffs = _compile(
+            self._maps + [_partial(a, i) for a in self._maps for i in range(self.n)],
+            self.n)
         self._cuts = (self.p, self.p + self.l, len(polys))
+        self._second = None
 
     @property
     def p(self) -> int:
@@ -75,6 +80,25 @@ class Problem:
         jac = v[rows:].reshape(rows, self.n)
         return v[:p], v[p:pl], v[pl:rows], jac[:p], jac[p:pl], jac[pl:]
 
+    def hessians(self, x) -> tuple[np.ndarray, ...]:
+        """(Hf, Hg, Hh) at x, shapes (p, n, n), (l, n, n) and (m, n, n),
+        from one product of the second-partials table.
+
+        Row (k*n + i)*n + j of that table holds the partial of polys[k] in
+        x_{i+1}, then in x_{j+1}. It is compiled on first use: most problems
+        are loaded, queried at a point and dropped without needing it.
+        """
+        x = self._point(x)
+        n = self.n
+        if self._second is None:
+            self._second = _compile(
+                [_partial(_partial(a, i), j) for a in self._maps
+                 for i in range(n) for j in range(n)], n)
+        exps, coeffs = self._second
+        hess = (coeffs @ np.multiply.reduce(x ** exps, axis=1)).reshape(-1, n, n)
+        p, pl, _ = self._cuts
+        return hess[:p], hess[p:pl], hess[pl:]
+
     def f(self, x) -> np.ndarray:
         return self.evaluate(x)[0]
 
@@ -94,28 +118,16 @@ class Problem:
         return self.evaluate(x)[5]
 
 
-def _compile(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent matrix E (monomials x n) and coefficient matrix C for
-    `polys` and their first partials.
-
-    Row k of C holds polys[k]; row len(polys) + k*n + i holds the partial
-    of polys[k] in x_{i+1}, so C @ prod(x ** E, axis=1) stacks the values
-    and then the row-major Jacobian. Monomials are in ascending
-    lexicographic order.
-    """
-    entries = []
-    for k, poly in enumerate(polys):
-        for exps, coeff in poly.terms.items():
-            entries.append((k, exps, coeff))
-            for i, e in enumerate(exps):
-                if e:
-                    partial = exps[:i] + (e - 1,) + exps[i + 1:]
-                    entries.append((len(polys) + k * n + i, partial, coeff * e))
-    monomials = sorted({exps for _, exps, _ in entries})
+def _compile(maps, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrix E (monomials x n) and coefficient matrix C, row k of
+    C holding the term map maps[k], so that C @ prod(x ** E, axis=1) stacks
+    their values. Monomials are in ascending lexicographic order."""
+    monomials = sorted({exps for terms in maps for exps in terms})
     column = {exps: j for j, exps in enumerate(monomials)}
-    coeffs = np.zeros((len(polys) * (n + 1), len(monomials)))
-    for row, exps, coeff in entries:
-        coeffs[row, column[exps]] = coeff
+    coeffs = np.zeros((len(maps), len(monomials)))
+    for row, terms in enumerate(maps):
+        for exps, coeff in terms.items():
+            coeffs[row, column[exps]] = coeff
     return np.array(monomials, dtype=np.int64).reshape(-1, n), coeffs
 
 
@@ -280,7 +292,7 @@ def problem_from_dict(data: dict) -> tuple[Problem, tuple[float, ...] | None]:
 
     Schema: {"n": int, "objectives": [expr...], "equalities": [expr...],
     "inequalities": [expr...], "ybar": [number or "+inf", ...]}. The ybar
-    entry is optional.
+    entry is optional; its numbers must be finite.
     """
     if not isinstance(data, dict):
         raise ProblemValidationError("problem file must be a JSON object")
@@ -311,19 +323,22 @@ def problem_from_dict(data: dict) -> tuple[Problem, tuple[float, ...] | None]:
 
 
 def parse_ybar(entries, p: int) -> tuple[float, ...]:
-    """Entries are numbers or the token "+inf" (componentwise upper bounds)."""
+    """Entries are finite numbers or the token "+inf" (componentwise upper
+    bounds); NaN and -inf are refused with ProblemValidationError."""
     if isinstance(entries, str):
         entries = [tok.strip() for tok in entries.split(",")]
     out = []
     for entry in entries:
-        if isinstance(entry, str) and entry.strip().lower() in ("+inf", "inf"):
-            out.append(math.inf)
-        else:
-            try:
-                out.append(float(entry))
-            except (TypeError, ValueError):
-                raise ProblemValidationError(
-                    f"ybar entry {entry!r} is neither a number nor '+inf'") from None
+        try:
+            value = float(entry)   # also reads "+inf" and "inf", any case
+        except (TypeError, ValueError):
+            raise ProblemValidationError(
+                f"ybar entry {entry!r} is neither a number nor '+inf'") from None
+        if math.isnan(value) or value == -math.inf:
+            raise ProblemValidationError(
+                f"ybar entry {entry!r} is NaN or -inf; ybar takes finite "
+                f"numbers or '+inf'")
+        out.append(value)
     if len(out) != p:
         raise ProblemValidationError(
             f"ybar has {len(out)} entries, problem has {p} objectives")

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from vpa import asymptotics, make_record
+from vpa import Problem, asymptotics, make_record, pipeline
 from vpa.asymptotics import (TraceResult, classify, flatten_records,
                              trace_from_points, trace_tangency,
                              write_trace_csv)
 from vpa.errors import ClassifyError, ProjectionError, TraceError
+from vpa.polynomials import Polynomial
 
 INF = (math.inf, math.inf)
 
@@ -93,6 +94,24 @@ class TestTraceTangency:
         a = trace_tangency(prob, ybar, radii, weights_seed=9, cfg=light_config)
         b = trace_tangency(prob, ybar, radii, weights_seed=9, cfg=light_config)
         assert flatten_records(a) == flatten_records(b)
+
+    def test_hessians_come_from_the_compiled_table(self, monkeypatch,
+                                                   degenerate_line, light_config):
+        def refuse(self, x):
+            raise AssertionError("Polynomial.hessian_at called")
+        calls = []
+
+        def counted(self, x, _hessians=Problem.hessians):
+            calls.append(1)
+            return _hessians(self, x)
+        monkeypatch.setattr(Polynomial, "hessian_at", refuse)
+        monkeypatch.setattr(Problem, "hessians", counted)
+        # in-process, so the patches reach every unit
+        monkeypatch.setattr(pipeline, "_pool_workers", lambda units: 0)
+        prob, ybar = degenerate_line
+        traces = trace_tangency(prob, ybar, light_config.radii(),
+                                weights_seed=1, cfg=light_config)
+        assert flatten_records(traces) and calls
 
     def test_radii_must_increase(self, degenerate_line, light_config):
         prob, ybar = degenerate_line

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import pathlib
 
 import pytest
@@ -157,6 +158,25 @@ class TestInputValidation:
             argv.append(f"--ybar={ybar}")
         assert run(argv) == EXIT_INPUT
         assert "finite ybar" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ybar", ["nan,-inf", "-inf,-inf", "1,nan"])
+    def test_nan_or_minus_inf_ybar_is_input_error(self, tmp_path, capsys, ybar):
+        out = tmp_path / "out"
+        rc = run(["verdict", "--problem", PROBLEMS / "hyperbola.json",
+                  f"--ybar={ybar}", "--out", out])
+        assert rc == EXIT_INPUT
+        assert "NaN or -inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_problem_file_with_minus_inf_ybar_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 1, "objectives": ["x1"],
+                                   "ybar": [-math.inf]}))
+        out = tmp_path / "out"
+        rc = run(["eval", "--problem", bad, "--at", "1", "--out", out])
+        assert rc == EXIT_INPUT
+        assert "NaN or -inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command(self, tmp_path, capsys):

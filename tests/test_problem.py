@@ -12,7 +12,8 @@ from test_polynomials import random_polynomial
 from vpa import (DEFAULT_CONFIG, Problem, check_feasible, load_problem,
                  parse, problem_from_dict, project_to_sphere_slice,
                  sample_feasible_ray)
-from vpa.errors import (ProblemValidationError, ProjectionError, RayError)
+from vpa.errors import (DimensionMismatchError, ProblemValidationError,
+                        ProjectionError, RayError)
 from vpa.polynomials import Polynomial
 from vpa.problem import parse_ybar
 
@@ -93,6 +94,51 @@ class TestEvaluate:
         assert f.tolist() == [6.0] and Jf.tolist() == [[3.0, 2.0]]
         assert g.shape == h.shape == (0,)
         assert Jg.shape == Jh.shape == (0, 2)
+
+
+def to_sympy(poly, symbols):
+    """The polynomial with its float coefficients converted exactly."""
+    return sum((sympy.Rational(c) * sympy.prod([s ** e for s, e in zip(symbols, exps)])
+                for exps, c in poly.terms.items()), sympy.Integer(0))
+
+
+class TestHessians:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_match_sympy_and_reference(self, seed, n, p, l, m):
+        rng = np.random.default_rng(seed)
+        blocks = [tuple(random_polynomial(rng, n, max_terms=5) for _ in range(k))
+                  for k in (p, l, m)]
+        prob = Problem(n, *blocks)
+        x = rng.uniform(-2.0, 2.0, size=n)
+        symbols = sympy.symbols(f"x1:{n + 1}")
+        point = dict(zip(symbols, map(sympy.Rational, x)))
+        for hess, polys in zip(prob.hessians(x), blocks):
+            assert hess.shape == (len(polys), n, n)
+            for H, poly in zip(hess, polys):
+                expr = to_sympy(poly, symbols)
+                reference = poly.hessian_at(x)
+                for i, row in enumerate(poly.gradient()):
+                    for j, partial in enumerate(row.gradient()):
+                        tol = 1e-12 * magnitude(partial, x)
+                        exact = sympy.diff(expr, symbols[i], symbols[j]).subs(point)
+                        assert abs(H[i, j] - float(exact)) <= tol
+                        assert abs(H[i, j] - reference[i, j]) <= tol
+
+    def test_fixture_shapes(self, degenerate_line, motzkin):
+        prob, _ = degenerate_line
+        assert [H.shape for H in prob.hessians([1.0, 2.0, 3.0])] == \
+            [(2, 3, 3), (2, 3, 3), (1, 3, 3)]
+        prob, _ = motzkin
+        Hf, Hg, Hh = prob.hessians([1.0, 1.0])
+        assert Hg.shape == (0, 2, 2) and Hh.shape == (2, 2, 2)
+        # h = (x1, x2): linear, so its Hessians vanish
+        assert not Hh.any()
+
+    def test_dimension_mismatch(self, motzkin):
+        prob, _ = motzkin
+        with pytest.raises(DimensionMismatchError):
+            prob.hessians([1.0])
 
 
 class TestCheckFeasible:
@@ -223,6 +269,20 @@ class TestProblemFiles:
         with pytest.raises(ProblemValidationError, match="neither a number"):
             parse_ybar(["huge"], 1)
         assert parse_ybar(["+inf", "-3.5"], 2) == (math.inf, -3.5)
+        assert parse_ybar("inf, +INF,1e300", 3) == (math.inf, math.inf, 1e300)
+
+    @pytest.mark.parametrize("entry", ["nan", "-inf", " -INF", math.nan,
+                                       -math.inf, "NaN"])
+    def test_ybar_refuses_nan_and_minus_inf(self, entry):
+        with pytest.raises(ProblemValidationError, match="NaN or -inf"):
+            parse_ybar([1.0, entry], 2)
+
+    def test_problem_file_nan_ybar_refused(self, tmp_path):
+        path = tmp_path / "nan.json"
+        # the json module writes and reads NaN, which standard JSON lacks
+        path.write_text('{"n": 1, "objectives": ["x1"], "ybar": [NaN]}')
+        with pytest.raises(ProblemValidationError, match="NaN or -inf"):
+            load_problem(path)
 
     def test_bad_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
