@@ -1,6 +1,15 @@
 """Shared numerical machinery: the exact simplex/cone least-norm kernel,
 damped Gauss-Newton, and an augmented-Lagrangian local solver.
 
+The augmented Lagrangian's inner minimizer is L-BFGS-B. The private loop
+`_lbfgsb` calls scipy's compiled step `scipy.optimize._lbfgsb.setulb`
+itself instead of going through `scipy.optimize.minimize`. It repeats what
+scipy's wrapper does around that step, so its iterates and evaluation counts
+are bitwise those of `minimize(method="L-BFGS-B", jac=True)` under the same
+options (tests/test_solvers.py checks this against scipy); only the
+wrapper's per-evaluation Python objects are gone. `setulb` is private to
+scipy, so that test is also what flags a scipy release that changes it.
+
 Everything here is deterministic given its inputs; randomness always enters
 through an explicit numpy Generator.
 """
@@ -11,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import nnls
+from scipy.optimize._lbfgsb import setulb
 
 from .errors import DivergenceError, KernelError
 
@@ -95,6 +104,51 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
     return x, accept(x), float(np.linalg.norm(r))
 
 
+def _lbfgsb(fun, x0, cap, maxiter):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on `fun(x) -> (value,
+    gradient)` from x0, each coordinate boxed to [-cap, cap] when cap is
+    finite; returns the final x.
+
+    Reverse communication with scipy's compiled step, exactly as
+    `scipy.optimize.minimize(method="L-BFGS-B", jac=True)` with maxcor=10,
+    maxls=20, maxfun=15000, ftol=1e-16 and gtol=1e-12 drives it: the same
+    workspace and task codes, x0 clipped to the box, a fresh copy of x for
+    each evaluation, a re-evaluation only at a new x, and a float64 copy of
+    the gradient before each step.
+    """
+    m, maxls, maxfun = 10, 20, 15000
+    factr, pgtol = 1e-16 / np.finfo(float).eps, 1e-12
+    n = x0.size
+    if np.isfinite(cap):
+        nbd, lo, hi = np.full(n, 2, np.int32), np.full(n, -cap), np.full(n, cap)
+        x = np.clip(x0, lo, hi)
+    else:
+        nbd, lo, hi = np.zeros(n, np.int32), np.zeros(n), np.zeros(n)
+        x = np.array(x0, dtype=np.float64)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = (np.zeros(k, np.int32) for k in (2, 2, 4))
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    f, g = 0.0, np.zeros(n)
+    seen, memo, nfev, nit = x.copy(), fun(x.copy()), 1, 0
+    while True:
+        g = g.astype(np.float64)    # setulb may write g; the memo's stays intact
+        setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa,
+               task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:            # wants f and g at x
+            if not np.array_equal(x, seen):
+                seen, memo, nfev = x.copy(), fun(x.copy()), nfev + 1
+            f, g = memo
+        elif task[0] == 1:          # finished an iteration
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            return x
+
+
 @dataclass
 class AuglagResult:
     x: np.ndarray
@@ -117,7 +171,9 @@ def minimize_auglag(evaluate, x0, *,
                     rho_growth: float = 10.0, rho_max: float = 1e12,
                     inner_maxiter: int = 300,
                     divergence_cap: float | None = None) -> AuglagResult:
-    """Powell-Hestenes-Rockafellar augmented Lagrangian with an L-BFGS-B core.
+    """Powell-Hestenes-Rockafellar augmented Lagrangian. Each subproblem is
+    minimized by `_lbfgsb` (at most `inner_maxiter` iterations, boxed to
+    `divergence_cap`), whose iterates are bitwise those of scipy's L-BFGS-B.
 
     `evaluate(x)` returns (value, gradient, eq_values, eq_jacobian,
     ineq_values, ineq_jacobian): the objective, the equalities targeting 0
@@ -132,9 +188,16 @@ def minimize_auglag(evaluate, x0, *,
     constraint sets whose violation cannot reach the target at any bounded
     penalty (rank-deficient gradients). Callers using the loose tier should
     re-polish and re-check the result.
+
+    Raises ValueError unless max_outer >= 1 and inner_maxiter >= 1, and on
+    a negative divergence_cap (an empty box).
     """
+    if max_outer < 1 or inner_maxiter < 1:
+        raise ValueError("minimize_auglag needs max_outer >= 1 and inner_maxiter"
+                         f" >= 1, got {max_outer} and {inner_maxiter}")
+    if divergence_cap is not None and divergence_cap < 0:
+        raise ValueError(f"divergence_cap must be nonnegative, got {divergence_cap}")
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
     loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
 
     _, _, e0, _, c0, _ = evaluate(x)
@@ -143,7 +206,6 @@ def minimize_auglag(evaluate, x0, *,
     rho = rho0
 
     bound = divergence_cap if divergence_cap is not None else np.inf
-    bounds = [(-bound, bound)] * n if np.isfinite(bound) else None
 
     def violation_of(ev, cv):
         parts = [0.0]
@@ -172,11 +234,7 @@ def minimize_auglag(evaluate, x0, *,
     feasible_stall = 0
     outcome = "iteration_limit"
     for outer in range(1, max_outer + 1):
-        res = scipy_minimize(lambda xv: augmented(evaluate(xv)), x,
-                             jac=True, method="L-BFGS-B", bounds=bounds,
-                             options={"maxiter": inner_maxiter,
-                                      "ftol": 1e-16, "gtol": 1e-12})
-        x = np.asarray(res.x, dtype=float)
+        x = _lbfgsb(lambda xv: augmented(evaluate(xv)), x, bound, inner_maxiter)
         if np.isfinite(bound) and float(np.max(np.abs(x))) >= 0.999 * bound:
             raise DivergenceError(
                 f"iterates reached the norm cap {bound:g}; "

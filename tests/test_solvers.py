@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from vpa import solvers
-from vpa.errors import KernelError
-from vpa.solvers import min_norm_simplex_cone
+from vpa.errors import DivergenceError, KernelError
+from vpa.solvers import min_norm_simplex_cone, minimize_auglag
 
 
 def random_matrix(rng, n, d, shape):
@@ -76,3 +77,95 @@ class TestGaussNewton:
                                                     accept=lambda _: False)
         assert len(calls) == 1
         assert np.array_equal(x, x0) and not accepted and resnorm == 0.0
+
+
+def no_block(n):
+    """An empty constraint block: no values, a (0, n) Jacobian."""
+    return np.zeros(0), np.zeros((0, n))
+
+
+def sum_to_one(x):
+    """min x.x subject to x1 + x2 = 1."""
+    return (float(x @ x), 2.0 * x, np.array([x[0] + x[1] - 1.0]),
+            np.array([[1.0, 1.0]]), *no_block(2))
+
+
+class TestMinimizeAuglag:
+    def test_converged_with_closed_form_multiplier(self):
+        res = minimize_auglag(sum_to_one, np.array([3.0, -1.0]))
+        # stationarity of x.x - y (x1 + x2 - 1): 2 x = y (1, 1)
+        assert res.outcome == "converged" and res.converged
+        assert res.x == pytest.approx([0.5, 0.5], abs=1e-8)
+        assert res.eq_multipliers == pytest.approx([1.0], abs=1e-6)
+        assert res.violation <= 1e-8 and res.ineq_multipliers.size == 0
+
+    def test_unsatisfiable_equality_is_infeasible(self):
+        def evaluate(x):
+            return (float(x @ x), 2.0 * x, np.array([x[0] ** 2 + 1.0]),
+                    np.array([[2.0 * x[0]]]), *no_block(1))
+
+        res = minimize_auglag(evaluate, np.array([0.5]))
+        assert res.outcome == "infeasible" and not res.converged
+        assert res.violation == pytest.approx(1.0)
+
+    def test_unbounded_objective_diverges_at_the_cap(self):
+        def evaluate(x):
+            return float(x[0]), np.array([1.0]), *no_block(1), *no_block(1)
+
+        with pytest.raises(DivergenceError) as info:
+            minimize_auglag(evaluate, np.array([0.0]), divergence_cap=1e3)
+        assert info.value.point.tolist() == [-1e3]
+
+    def test_small_outer_budget_hits_the_iteration_limit(self):
+        res = minimize_auglag(sum_to_one, np.array([3.0, -1.0]), max_outer=1)
+        # one subproblem at rho = 10 stops at x1 = x2 = 10/22
+        assert res.outcome == "iteration_limit" and res.outer_iterations == 1
+        assert res.violation == pytest.approx(1.0 / 11.0)
+
+    @pytest.mark.parametrize("budget", [{"max_outer": 0}, {"inner_maxiter": 0},
+                                        {"divergence_cap": -1.0}])
+    def test_empty_budget_or_box_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_outer >= 1 and inner_maxiter|nonnegative"):
+            minimize_auglag(sum_to_one, np.zeros(2), **budget)
+
+
+def smooth_objective(rng, n):
+    """A shifted convex quadratic plus quartic terms and a linear tilt, and a
+    penalty-like quartic w (|x - c|^2 - 1)^2 whose weight, up to 1e12 as in
+    the augmented Lagrangian's, makes line searches long."""
+    A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1, 1)
+    c = rng.standard_normal(n) * 3.0
+    q = rng.uniform(0.01, 1.0, n)
+    b = rng.standard_normal(n)
+    w = 10.0 ** rng.uniform(0, 12)
+
+    def fun(x):
+        d = x - c
+        Ad = A @ d
+        s = float(d @ d) - 1.0
+        return 0.5 * float(Ad @ Ad) + float(q @ d ** 4) + float(b @ x) + w * s * s, \
+            A.T @ Ad + 4.0 * q * d ** 3 + b + 4.0 * w * s * d
+    return fun
+
+
+class TestLbfgsbParity:
+    """`_lbfgsb` calls scipy's private compiled step; it must give scipy's
+    L-BFGS-B bitwise, so a scipy release that changes `setulb` fails here."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+           st.sampled_from([np.inf, 0.5, 3.0]), st.sampled_from([1, 2, 5, 300]))
+    @example(0, 2, np.inf, 300)     # needs more than 10 line-search steps
+    @example(9, 2, 3.0, 300)        # ends in a failed line search
+    def test_same_iterates_and_evaluations_as_scipy(self, seed, n, cap, maxiter):
+        rng = np.random.default_rng(seed)
+        fun = smooth_objective(rng, n)
+        x0 = rng.standard_normal(n) * 4.0
+        ours, theirs = [], []
+        x = solvers._lbfgsb(lambda v: ours.append(v) or fun(v), x0, cap, maxiter)
+        res = minimize(lambda v: theirs.append(v) or fun(v), x0, jac=True,
+                       method="L-BFGS-B",
+                       bounds=[(-cap, cap)] * n if np.isfinite(cap) else None,
+                       options={"maxiter": maxiter, "ftol": 1e-16, "gtol": 1e-12})
+        assert np.array_equal(x, res.x)
+        assert len(ours) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
