@@ -30,7 +30,8 @@ from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
 from .pipeline import Stage, run
 from .problem import (Problem, RaySample, _slice_ok, polish_to_slice,
                       project_to_sphere_slice)
-from .solvers import minimize_auglag, random_unit_vector, simplex_lattice
+from .solvers import (minimize_auglag, random_unit_vector, simplex_lattice,
+                      step_below_resolution)
 
 CONDITIONS = ("proper", "palais_smale", "cerami", "m_tame")
 
@@ -423,7 +424,9 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
 def _newton_stall(res_jac, z0, max_iter=60):
     """Backtracking Newton on a square system, row-equilibrated and solved by
     least squares: KKT systems on large spheres are too ill-conditioned for
-    normal equations."""
+    normal equations. Halves each step until the residual norm decreases and
+    stops once `step_below_resolution(step * d, z)` holds (halving cannot
+    make it useful) or after `max_iter` Newton steps."""
     z = np.asarray(z0, dtype=float).copy()
     res, J = res_jac(z)
     phi = float(np.linalg.norm(res))
@@ -438,9 +441,10 @@ def _newton_stall(res_jac, z0, max_iter=60):
         step = 1.0
         improved = False
         for _ in range(25):
-            z_new = z + step * d
-            if np.all(z_new == z):
-                break       # z + step*d rounds to z: halving cannot move it
+            dz = step * d
+            if step_below_resolution(dz, z):
+                break
+            z_new = z + dz
             res_new, J_new = res_jac(z_new)
             phi_new = float(np.linalg.norm(res_new))
             if phi_new < phi:

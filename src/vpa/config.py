@@ -39,16 +39,19 @@ class RunConfig:
     divergence_cap: float = 1e6
 
     def __post_init__(self):
+        # every comparison is written so that NaN fails it
         for name in (
             "tol_feas", "tol_active", "tol_membership", "tol_stationary",
             "tol_limit", "tol_cluster", "tol_rank", "tol_margin",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.radius_count < 4:
             raise ValueError("radius schedule needs at least 4 entries")
-        if self.radius_base <= 0 or self.radius_factor <= 1:
+        if not (self.radius_base > 0 and self.radius_factor > 1):
             raise ValueError("radius schedule must be positive and increasing")
+        if not self.divergence_cap > 0:
+            raise ValueError("divergence_cap must be positive")
         if min(self.weights_per_radius, self.weight_grid,
                self.starts_per_weight, self.section_budget) < 1:
             raise ValueError("budgets must be at least 1")

@@ -232,7 +232,9 @@ def polish_to_slice(prob: Problem, x, r: float,
     Runs damped Gauss-Newton to a step stall instead of stopping at the value
     tolerance: near rank-deficient constraint gradients, value-level residuals
     can leave coordinates (and hence f-values at large radii) far off the
-    feasible set. Returns None when the polish jumps away or lands infeasible.
+    feasible set. A step stall is a damped step below the iterate's float
+    resolution, max|d| <= eps * max|x| (`solvers.step_below_resolution`), or
+    100 steps. Returns None when the polish jumps away or lands infeasible.
     """
     x = prob._point(x)
     res_jac = _slice_residual(prob, r)

@@ -25,6 +25,8 @@ from scipy.optimize._lbfgsb import setulb
 
 from .errors import DivergenceError, KernelError
 
+_EPS = np.finfo(float).eps
+
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
@@ -60,15 +62,25 @@ def min_norm_simplex_cone(M: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return z, float(np.linalg.norm(M @ z))
 
 
+def step_below_resolution(d, x) -> bool:
+    """The relative-step ("xtol") stop at its tightest setting, machine eps:
+    max|d| <= eps * max|x|. Such a step is below x's float resolution, so a
+    Newton-type loop that takes it only crawls; a step that rounds away
+    entirely (x + d == x) satisfies it too."""
+    return float(np.max(np.abs(d))) <= _EPS * float(np.max(np.abs(x)))
+
+
 def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
                  lm0: float = 1e-3) -> tuple[np.ndarray, bool, float]:
     """Damped (Levenberg-Marquardt) Gauss-Newton until `accept(x)` holds.
 
-    `res_jac(x)` returns the residual vector and its Jacobian. Returns
-    (x, accepted, final residual norm).
+    `res_jac(x)` returns the residual vector and its Jacobian. Each damped
+    step d is tested before the residual is evaluated at x + d: the loop
+    stops once `step_below_resolution(d, x)` holds, since more damping only
+    shortens d, or after `max_iter` accepted steps. Returns (x, accepted,
+    final residual norm).
     """
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
     lam = lm0
     r, J = res_jac(x)
     phi = 0.5 * float(r @ r)
@@ -88,9 +100,9 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
             if not np.all(np.isfinite(d)):
                 lam *= 10.0
                 continue
+            if step_below_resolution(d, x):
+                break       # more damping only shortens d
             x_new = x + d
-            if np.all(x_new == x):
-                break       # x + d rounds to x: more damping only shortens d
             r_new, J_new = res_jac(x_new)
             phi_new = 0.5 * float(r_new @ r_new)
             if phi_new < phi:
@@ -117,7 +129,7 @@ def _lbfgsb(fun, x0, cap, maxiter):
     the gradient before each step.
     """
     m, maxls, maxfun = 10, 20, 15000
-    factr, pgtol = 1e-16 / np.finfo(float).eps, 1e-12
+    factr, pgtol = 1e-16 / _EPS, 1e-12
     n = x0.size
     if np.isfinite(cap):
         nbd, lo, hi = np.full(n, 2, np.int32), np.full(n, -cap), np.full(n, cap)

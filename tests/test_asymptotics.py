@@ -120,6 +120,30 @@ class TestTraceTangency:
                            cfg=light_config)
 
 
+class TestKktPolish:
+    def test_stops_below_float_resolution(self, monkeypatch, hyperbola,
+                                          light_config):
+        # the augmented Lagrangian's point on a hyperbola chain at r = 10
+        # (weights (0, 1)): one Newton step solves the KKT system to
+        # rounding level and the next is below z's resolution; a stop only
+        # at z + step*d == z makes 31 evaluations here
+        calls = []
+
+        def counted(self, x, _hessians=Problem.hessians):
+            calls.append(1)      # one per Newton residual evaluation
+            return _hessians(self, x)
+        monkeypatch.setattr(Problem, "hessians", counted)
+        prob, ybar = hyperbola
+        x0 = np.array([9.949376819309283, 0.09950352040113479,
+                       -0.9999999996245782])
+        x = asymptotics._kkt_polish(prob, 10.0, np.array([0.0, 1.0]), ybar,
+                                    x0, light_config)
+        assert len(calls) <= 6
+        # on the cut f1 = x3 = -1 and on the sphere
+        assert x[2] == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(x) == pytest.approx(10.0, rel=1e-12)
+
+
 class TestClassify:
     def test_palais_smale_failure_on_hyperbola_ray(self, hyperbola,
                                                    light_config):

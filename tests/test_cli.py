@@ -213,6 +213,24 @@ class TestInputValidation:
                     "--config", cfg, "--at", "1,1",
                     "--out", tmp_path / "out"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("data, field", [
+        pytest.param({"divergence_cap": -1.0}, "divergence_cap", id="negative-cap"),
+        pytest.param({"divergence_cap": 0.0}, "divergence_cap", id="zero-cap"),
+        pytest.param({"divergence_cap": math.nan}, "divergence_cap", id="nan-cap"),
+        pytest.param({"tol_feas": math.nan}, "tol_feas", id="nan-tolerance"),
+        pytest.param({"radius_factor": math.nan}, "radius schedule", id="nan-factor"),
+    ])
+    def test_nan_or_nonpositive_config_value_rejected(self, tmp_path, capsys,
+                                                      data, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))     # NaN is written as the token NaN
+        out = tmp_path / "out"
+        assert run(["solve", "--problem", PROBLEMS / "motzkin.json",
+                    "--config", cfg, "--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("vpa: input error: bad config file") and field in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tol_fees": 1e-8}))

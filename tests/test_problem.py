@@ -15,7 +15,7 @@ from vpa import (DEFAULT_CONFIG, Problem, check_feasible, load_problem,
 from vpa.errors import (DimensionMismatchError, ProblemValidationError,
                         ProjectionError, RayError)
 from vpa.polynomials import Polynomial
-from vpa.problem import parse_ybar
+from vpa.problem import _slice_ok, parse_ybar, polish_to_slice
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 FIXTURES = ("motzkin", "hyperbola", "degenerate_line")
@@ -208,6 +208,21 @@ class TestProjection:
         prob, _ = motzkin
         with pytest.raises(ValueError):
             project_to_sphere_slice(prob, -1.0, [1.0, 1.0])
+
+    def test_polish_stops_below_float_resolution(self, monkeypatch, hyperbola):
+        # a projected point whose x1, x2 >= 0 rows are violated by 6e-15:
+        # those rows' Jacobian vanishes there, so every damped step is about
+        # 4e-17 against x3 = 10
+        prob, _ = hyperbola
+        calls = []
+
+        def counted(self, x, _evaluate=Problem.evaluate):
+            calls.append(1)
+            return _evaluate(self, x)
+        monkeypatch.setattr(Problem, "evaluate", counted)
+        x = polish_to_slice(prob, [-5.8e-15, -5.8e-15, 10.0], 10.0)
+        assert len(calls) <= 3
+        assert x is not None and _slice_ok(prob, x, 10.0, DEFAULT_CONFIG)
 
 
 class TestRays:

@@ -62,8 +62,8 @@ class TestMinNormSimplexCone:
 
 class TestGaussNewton:
     def test_exact_zero_residual_makes_one_evaluation(self):
-        # x + d == x from the first trial step on: raising the damping
-        # cannot move x, so no trial point is evaluated
+        # d == 0 from the first trial step on, below x's float resolution,
+        # so no trial point is evaluated
         calls = []
         A = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]])
         x0 = np.array([1.0, -2.0])
@@ -77,6 +77,31 @@ class TestGaussNewton:
                                                     accept=lambda _: False)
         assert len(calls) == 1
         assert np.array_equal(x, x0) and not accepted and resnorm == 0.0
+
+    def test_step_below_float_resolution_stops_before_evaluating(self):
+        # at (1e-14, 10) the damped step on x1 is about 2e-27, far below
+        # eps * 10, while each such step would still shrink x1^2 a little
+        calls = []
+
+        def res_jac(x):
+            calls.append(x.copy())
+            return (np.array([x[0] ** 2, x[1] - 10.0]),
+                    np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]))
+
+        x0 = np.array([1e-14, 10.0])
+        x, accepted, resnorm = solvers.gauss_newton(res_jac, x0,
+                                                    accept=lambda _: False)
+        assert len(calls) == 1
+        assert np.array_equal(x, x0) and not accepted and resnorm == 1e-28
+
+    def test_step_below_resolution_is_relative_to_the_largest_coordinate(self):
+        eps = np.finfo(float).eps
+        x = np.array([0.0, -4.0])
+        assert solvers.step_below_resolution(np.array([4 * eps, 0.0]), x)
+        assert not solvers.step_below_resolution(np.array([0.0, 8 * eps]), x)
+        # a step that rounds away entirely is below the resolution too
+        d = np.array([0.0, eps])
+        assert np.array_equal(x + d, x) and solvers.step_below_resolution(d, x)
 
 
 def no_block(n):
