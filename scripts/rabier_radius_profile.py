@@ -20,8 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from vpa import DEFAULT_CONFIG, load_problem  # noqa: E402
-from vpa.asymptotics import (flatten_records, trace_tangency,
-                             write_trace_csv)  # noqa: E402
+from vpa.asymptotics import (flatten_records, trace_csv,
+                             trace_tangency)  # noqa: E402
 from vpa.problem import parse_ybar  # noqa: E402
 
 
@@ -62,7 +62,8 @@ def main():
                   f"{int(rec.below_ybar):>5d}")
 
     if args.csv is not None:
-        write_trace_csv(args.csv, flatten_records(traces), prob.n, prob.p)
+        args.csv.write_text(trace_csv(flatten_records(traces), prob.n, prob.p),
+                            newline="")
         print(f"wrote {args.csv}")
 
 

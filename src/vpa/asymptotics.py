@@ -17,6 +17,7 @@ evidence, never a proof.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -636,18 +637,19 @@ def _coverage(traces: list[TraceResult], schedule: list[float]) -> bool:
 
 # -- export --------------------------------------------------------------------
 
-def write_trace_csv(path, records: Iterable[TraceRecord], n: int, p: int):
-    """Columns: radius, x_1..x_n, f_1..f_p, rabier, scaled_rabier,
-    in_tangency, below_ybar (booleans as 0/1)."""
+def trace_csv(records: Iterable[TraceRecord], n: int, p: int) -> str:
+    """The text of trace.csv. Columns: radius, x_1..x_n, f_1..f_p, rabier,
+    scaled_rabier, in_tangency, below_ybar (booleans as 0/1)."""
     header = (["radius"] + [f"x_{i+1}" for i in range(n)]
               + [f"f_{k+1}" for k in range(p)]
               + ["rabier", "scaled_rabier", "in_tangency", "below_ybar"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([repr(rec.radius)]
-                            + [repr(v) for v in rec.point]
-                            + [repr(v) for v in rec.f_value]
-                            + [repr(rec.rabier), repr(rec.scaled_rabier),
-                               int(rec.in_tangency), int(rec.below_ybar)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for rec in records:
+        writer.writerow([repr(rec.radius)]
+                        + [repr(v) for v in rec.point]
+                        + [repr(v) for v in rec.f_value]
+                        + [repr(rec.rabier), repr(rec.scaled_rabier),
+                           int(rec.in_tangency), int(rec.below_ybar)])
+    return text.getvalue()

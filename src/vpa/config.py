@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 
@@ -39,6 +40,14 @@ class RunConfig:
     divergence_cap: float = 1e6
 
     def __post_init__(self):
+        # the counts and the seed are the fields whose default is an int
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            integral = type(f.default) is int
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise ValueError(f"{f.name} must be {'an integer' if integral else 'a number'}"
+                                 f", got {value!r}")
         # every comparison is written so that NaN fails it
         for name in (
             "tol_feas", "tol_active", "tol_membership", "tol_stationary",
@@ -52,8 +61,10 @@ class RunConfig:
             raise ValueError("radius schedule must be positive and increasing")
         if not self.divergence_cap > 0:
             raise ValueError("divergence_cap must be positive")
-        if min(self.weights_per_radius, self.weight_grid,
-               self.starts_per_weight, self.section_budget) < 1:
+        if min(self.seed, self.projection_restarts) < 0:
+            raise ValueError("seed and projection_restarts must be nonnegative")
+        if min(self.weights_per_radius, self.weight_grid, self.starts_per_weight,
+               self.section_budget, self.projection_max_iter) < 1:
             raise ValueError("budgets must be at least 1")
 
     def radii(self) -> list[float]:
@@ -68,6 +79,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a config holds one JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

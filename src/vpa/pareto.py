@@ -7,6 +7,7 @@ asymptotic classification.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -185,7 +186,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
             raise SolveError(f"all {len(draws)} scalarized runs failed")
         return out
 
-    return Stage(tuple((_scalarize, (prob, weights, start, cfg))
+    return Stage(tuple((solve_scalarized, (prob, weights, start, cfg))
                        for weights, start in draws), archive)
 
 
@@ -420,7 +421,7 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
 
 def mfcq_stage(prob: Problem, cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
     """`sample_mfcq_evidence` as one unit."""
-    return single(_mfcq_evidence, prob, cfg)
+    return single(sample_mfcq_evidence, prob, cfg)
 
 
 def ray_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
@@ -437,28 +438,8 @@ def ray_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
             out.append(ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{ray_idx:02d}"))
         return out
 
-    return Stage(tuple((_sample_ray, (prob, radii, 2000 + ray_idx, cfg))
+    return Stage(tuple((sample_feasible_ray, (prob, radii, 2000 + ray_idx, cfg))
                        for ray_idx in range(2)), traces)
-
-
-# Units are sent to worker processes by reference, so each is a private
-# module-level function: tracing tools patch the public names, and a patched
-# function does not pickle.
-
-def _scalarize(prob, weights, start, cfg):
-    return solve_scalarized(prob, weights, start, cfg)
-
-
-def _mfcq_evidence(prob, cfg):
-    return sample_mfcq_evidence(prob, cfg)
-
-
-def _section(prob, ybar, cfg):
-    return section_probe(prob, ybar, cfg.section_budget, seed=1, cfg=cfg)
-
-
-def _sample_ray(prob, radii, seed, cfg):
-    return sample_feasible_ray(prob, radii, seed=seed, cfg=cfg)
 
 
 def existence_verdict(prob: Problem, ybar: Sequence[float],
@@ -474,8 +455,8 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     radii = cfg.radii()
     finite = any(math.isfinite(y) for y in ybar)
     # with ybar +inf in every component there is no section to probe
-    section_stage = single(_section, prob, ybar, cfg) if finite \
-        else Stage((), lambda handles: None)
+    section_stage = (single(section_probe, prob, ybar, cfg.section_budget, 1, cfg)
+                     if finite else Stage((), lambda handles: None))
     stages = run(mfcq_stage(prob, cfg),
                  single(_verify_ybar_membership, prob, ybar, cfg),
                  section_stage,
@@ -553,13 +534,14 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
 
 # -- exports ---------------------------------------------------------------------
 
-def write_front_csv(path, archive: ParetoArchive, p: int):
-    header = [f"f_{k+1}" for k in range(p)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for entry in archive.entries:
-            writer.writerow([repr(v) for v in entry.f])
+def front_csv(archive: ParetoArchive, p: int) -> str:
+    """The text of front.csv: one row of f_1..f_p per archive entry."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([f"f_{k+1}" for k in range(p)])
+    for entry in archive.entries:
+        writer.writerow([repr(v) for v in entry.f])
+    return text.getvalue()
 
 
 def archive_to_jsonable(archive: ParetoArchive) -> list[dict]:

@@ -70,6 +70,11 @@ def step_below_resolution(d, x) -> bool:
     return float(np.max(np.abs(d))) <= _EPS * float(np.max(np.abs(x)))
 
 
+# gauss_newton stops once phi fell by less than _STALL_DROP, relative, over
+# the last _STALL_STEPS accepted steps
+_STALL_STEPS, _STALL_DROP = 10, 1e-3
+
+
 def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
                  lm0: float = 1e-3) -> tuple[np.ndarray, bool, float]:
     """Damped (Levenberg-Marquardt) Gauss-Newton until `accept(x)` holds.
@@ -77,13 +82,16 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
     `res_jac(x)` returns the residual vector and its Jacobian. Each damped
     step d is tested before the residual is evaluated at x + d: the loop
     stops once `step_below_resolution(d, x)` holds, since more damping only
-    shortens d, or after `max_iter` accepted steps. Returns (x, accepted,
-    final residual norm).
+    shortens d, once phi = |r|^2 / 2 has fallen by less than 0.1% over the
+    last 10 accepted steps (a residual stagnating at a nonzero local minimum
+    or a kink, far from where `accept` could hold), or after `max_iter`
+    accepted steps. Returns (x, accepted, final residual norm).
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = lm0
     r, J = res_jac(x)
     phi = 0.5 * float(r @ r)
+    phis = [phi]            # phi after each accepted step
     for _ in range(max_iter):
         if accept(x):
             return x, True, float(np.linalg.norm(r))
@@ -113,6 +121,9 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
             lam *= 10.0
         if not stepped:
             break
+        phis.append(phi)
+        if len(phis) > _STALL_STEPS and phi > (1.0 - _STALL_DROP) * phis[-1 - _STALL_STEPS]:
+            break           # stagnating: accept(x) failed at every one of them
     return x, accept(x), float(np.linalg.norm(r))
 
 
@@ -142,14 +153,15 @@ def _lbfgsb(fun, x0, cap, maxiter):
     task, ln_task, lsave = (np.zeros(k, np.int32) for k in (2, 2, 4))
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
     f, g = 0.0, np.zeros(n)
-    seen, memo, nfev, nit = x.copy(), fun(x.copy()), 1, 0
+    seen, memo, nfev, nit = x.tolist(), fun(x.copy()), 1, 0
     while True:
         g = g.astype(np.float64)    # setulb may write g; the memo's stays intact
         setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa,
                task, lsave, isave, dsave, maxls, ln_task)
         if task[0] == 3:            # wants f and g at x
-            if not np.array_equal(x, seen):
-                seen, memo, nfev = x.copy(), fun(x.copy()), nfev + 1
+            now = x.tolist()        # np.array_equal's test, at less cost
+            if now != seen:
+                seen, memo, nfev = now, fun(x.copy()), nfev + 1
             f, g = memo
         elif task[0] == 1:          # finished an iteration
             nit += 1
@@ -229,15 +241,14 @@ def minimize_auglag(evaluate, x0, *,
 
     def augmented(point):
         fval, fgrad, ev, Je, cv, Jc = point
-        val = fval
-        grad = fgrad.copy()
+        val, grad = fval, fgrad     # read-only: _lbfgsb copies the gradient
         if ev.size:
             val += float(-y @ ev + 0.5 * rho * ev @ ev)
-            grad += Je.T @ (rho * ev - y)
+            grad = grad + Je.T @ (rho * ev - y)
         if cv.size:
             shifted = np.maximum(0.0, nu - rho * cv)
             val += float((shifted @ shifted - nu @ nu) / (2.0 * rho))
-            grad -= Jc.T @ shifted
+            grad = grad - Jc.T @ shifted
         return val, grad
 
     prev_violation = math.inf

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 
 from vpa import Problem, asymptotics, make_record, pipeline
 from vpa.asymptotics import (TraceResult, classify, flatten_records,
-                             trace_from_points, trace_tangency,
-                             write_trace_csv)
+                             trace_csv, trace_from_points, trace_tangency)
 from vpa.errors import ClassifyError, ProjectionError, TraceError
 from vpa.polynomials import Polynomial
 
@@ -234,13 +234,11 @@ class TestClassify:
 
 
 class TestCsvExport:
-    def test_column_layout(self, hyperbola, tmp_path):
+    def test_column_layout(self, hyperbola):
         prob, ybar = hyperbola
         trace = trace_from_points(prob, ybar, hyperbola_ray([10.0, 100.0]))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace.records, prob.n, prob.p)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
+        text = trace_csv(trace.records, prob.n, prob.p)
+        rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["radius", "x_1", "x_2", "x_3", "f_1", "f_2",
                            "rabier", "scaled_rabier", "in_tangency",
                            "below_ybar"]

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import stat
 
 import pytest
 
@@ -219,6 +221,10 @@ class TestInputValidation:
         pytest.param({"divergence_cap": math.nan}, "divergence_cap", id="nan-cap"),
         pytest.param({"tol_feas": math.nan}, "tol_feas", id="nan-tolerance"),
         pytest.param({"radius_factor": math.nan}, "radius schedule", id="nan-factor"),
+        pytest.param({"seed": -1}, "seed", id="negative-seed"),
+        pytest.param({"projection_restarts": -3}, "projection_restarts",
+                     id="negative-restarts"),
+        pytest.param({"projection_max_iter": 0}, "budgets", id="no-iterations"),
     ])
     def test_nan_or_nonpositive_config_value_rejected(self, tmp_path, capsys,
                                                       data, field):
@@ -229,6 +235,28 @@ class TestInputValidation:
                     "--config", cfg, "--out", out]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("vpa: input error: bad config file") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"tol_feas": "x"}, "tol_feas must be a number", id="string-tolerance"),
+        pytest.param({"divergence_cap": None}, "divergence_cap must be a number",
+                     id="null-cap"),
+        pytest.param({"radius_count": 4.5}, "radius_count must be an integer",
+                     id="fractional-count"),
+        pytest.param({"section_budget": "8"}, "section_budget must be an integer",
+                     id="string-count"),
+        pytest.param({"seed": True}, "seed must be an integer", id="boolean-seed"),
+        pytest.param([1, 2], "one JSON object", id="not-an-object"),
+    ])
+    def test_config_value_of_the_wrong_type_rejected(self, tmp_path, capsys,
+                                                     data, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert run(["eval", "--problem", PROBLEMS / "motzkin.json", "--at", "1,1",
+                    "--config", cfg, "--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("vpa: input error: bad config file") and message in err
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -298,3 +326,23 @@ class TestPipelineCommands:
                         "--at", "0,0,5", "--out", out]) == EXIT_OK
             outs.append((out / "rabier_report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_existing_output_is_overwritten_in_place(self, tmp_path):
+        # written over a longer file with a second link and its own mode, a
+        # report keeps the inode, the link and the mode, and has the bytes
+        # of a report written afresh
+        argv = ["eval", "--problem", PROBLEMS / "motzkin.json", "--at", "1,1"]
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "eval_report.json"
+        path.write_text("x" * 100_000)
+        path.chmod(0o640)
+        link = tmp_path / "link.json"
+        os.link(path, link)
+        inode = path.stat().st_ino
+        assert run(argv + ["--out", out]) == EXIT_OK
+        assert run(argv + ["--out", tmp_path / "fresh"]) == EXIT_OK
+        fresh = (tmp_path / "fresh" / "eval_report.json").read_bytes()
+        assert path.read_bytes() == fresh and link.read_bytes() == fresh
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640

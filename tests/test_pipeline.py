@@ -1,6 +1,7 @@
 """The evidence runner: both paths give equal results and byte-identical
-reports, unit errors reach the caller unchanged, and what crosses to a
-worker process survives pickling."""
+reports, unit errors reach the caller unchanged, the forked children never
+outlive a run nor give the process a thread, and what a child sends back
+survives pickling."""
 
 import json
 import math
@@ -10,6 +11,7 @@ import pickle
 import signal
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from vpa import DEFAULT_CONFIG, Problem, load_problem, parse, pareto, pipeline
 from vpa.asymptotics import trace_tangency
 from vpa.cli import main
-from vpa.errors import DivergenceError, ParseError, ProjectionError
+from vpa.errors import DivergenceError, ParseError, ProjectionError, VpaError
 from vpa.pareto import existence_verdict, solve_front
 from vpa.pipeline import Stage
 
@@ -52,6 +54,28 @@ def deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def has_children() -> bool:
+    """Whether this process has a child, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def task_count() -> int:
+    """OS threads of this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def read_all(handles):
+    return [handle.result() for handle in handles]
+
+
+def kill_own_process():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def both_paths(monkeypatch, compute):
@@ -124,6 +148,80 @@ class TestRunner:
             monkeypatch, lambda: existence_verdict(prob, (math.inf,), TINY_CONFIG))
         assert reports[0] == reports[1]
         assert any(note.startswith("front sweep failed") for note in reports[0].notes)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux")
+class TestForkedChildren:
+    """The forked path, forced; the units are inherited, so they need not
+    pickle."""
+
+    @pytest.fixture(autouse=True)
+    def pool(self, monkeypatch):
+        assert not has_children()
+        use_pool(monkeypatch, True)
+
+    def test_a_killed_child_is_an_error_within_the_deadline(self):
+        stage = Stage(((kill_own_process, ()), (time.sleep, (60,))), read_all)
+        with deadline(30), pytest.raises(RuntimeError, match="killed by SIGKILL") as info:
+            with pipeline.run(stage) as (read,):
+                read()
+        assert not isinstance(info.value, VpaError)
+        assert not has_children()
+
+    def test_leaving_the_block_unread_reaps_every_child(self):
+        stage = Stage(((time.sleep, (60,)),) * 2, read_all)
+        with deadline(30):
+            with pipeline.run(stage):
+                assert has_children()
+        assert not has_children()
+
+    def test_twenty_thousand_units_each_run_once(self, monkeypatch, tmp_path):
+        # more children than CPUs claim from the shared counter; a lost
+        # update would run some unit twice
+        children = len(os.sched_getaffinity(0)) + 2
+        monkeypatch.setattr(pipeline, "_pool_workers", lambda units: children)
+        log = tmp_path / "ran"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def unit(k):
+            os.write(fd, b"%d %d\n" % (k, os.getpid()))
+            return k
+        try:
+            stage = Stage(tuple((unit, (k,)) for k in range(20_000)), read_all)
+            with deadline(120), pipeline.run(stage) as (read,):
+                assert read() == list(range(20_000))
+        finally:
+            os.close(fd)
+        ran = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(k) for k, _ in ran) == list(range(20_000))
+        assert len({pid for _, pid in ran}) > 1
+        assert not has_children()
+
+    def test_a_one_mebibyte_result_arrives_intact(self):
+        blob = bytes(range(256)) * 4096
+        stage = Stage(((bytes, (blob,)), (len, (blob,))), read_all)
+        with deadline(60), pipeline.run(stage) as (read,):
+            assert read() == [blob, 1 << 20]
+
+    def test_the_process_gains_no_thread(self):
+        # one entry under single-threaded BLAS; a BLAS pool's threads stay
+        # as they are
+        before = task_count()
+        stage = Stage(((os.getpid, ()),) * 4, read_all)
+        with deadline(60), pipeline.run(stage) as (pids,):
+            assert task_count() == before
+            assert os.getpid() not in pids()
+            assert task_count() == before
+        assert task_count() == before
+
+    def test_unit_error_chains_the_child_traceback(self):
+        def broken():
+            raise ValueError("bug in a unit")
+        stage = Stage(((broken, ()), (os.getpid, ())), read_all)
+        with deadline(60), pytest.raises(ValueError, match="^bug in a unit$") as info:
+            with pipeline.run(stage) as (read,):
+                read()
+        assert "in broken" in str(info.value.__cause__)
 
 
 class TestPathEquivalence:

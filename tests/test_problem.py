@@ -204,6 +204,25 @@ class TestProjection:
                                     [1.0, 1.0], cfg)
         assert err.value.best_residual > 0
 
+    def test_stagnating_projection_stops_early(self, monkeypatch, hyperbola):
+        # the first projection of the hyperbola's MFCQ evidence: Gauss-Newton
+        # stalls against the max(0, -h)^2 kink at residual 4.6, where all 200
+        # iterations made 519 evaluations (accept's included); the stop on
+        # phi falling by less than 0.1% over 10 accepted steps makes 149
+        prob, _ = hyperbola
+        calls = []
+
+        def counted(self, x, _evaluate=Problem.evaluate):
+            calls.append(1)
+            return _evaluate(self, x)
+        monkeypatch.setattr(Problem, "evaluate", counted)
+        cfg = DEFAULT_CONFIG.replace(projection_restarts=0)
+        x0 = [4.404883391016934, -8.97591288384077, 0.17317682652254446]
+        with pytest.raises(ProjectionError) as err:
+            project_to_sphere_slice(prob, 10.0, x0, cfg)
+        assert err.value.best_residual > 1.0
+        assert len(calls) <= 160
+
     def test_radius_must_be_positive(self, motzkin):
         prob, _ = motzkin
         with pytest.raises(ValueError):
