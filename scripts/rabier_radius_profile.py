@@ -8,7 +8,7 @@ the telltale of a constraint qualification failure at infinity; a vanishing
 column is a Palais-Smale failure witness candidate.
 
 Usage: python scripts/rabier_radius_profile.py problems/hyperbola.json \
-           [--ybar -1,2] [--decades 4] [--csv out.csv]
+           [--ybar=-1,2] [--decades 4] [--csv out.csv]
 """
 
 import argparse
@@ -22,6 +22,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from vpa import DEFAULT_CONFIG, load_problem  # noqa: E402
 from vpa.asymptotics import (flatten_records, trace_csv,
                              trace_tangency)  # noqa: E402
+from vpa.errors import ProblemValidationError  # noqa: E402
 from vpa.problem import parse_ybar  # noqa: E402
 
 
@@ -33,10 +34,18 @@ def main():
     parser.add_argument("--chains", type=int, default=4)
     parser.add_argument("--csv", type=pathlib.Path, default=None)
     args = parser.parse_args()
+    # the radius schedule needs at least 4 radii, so at least 3 decades
+    if args.decades < 3:
+        parser.error(f"--decades must be at least 3, got {args.decades}")
+    if args.chains < 1:
+        parser.error(f"--chains must be at least 1, got {args.chains}")
 
     prob, file_ybar = load_problem(args.problem)
     if args.ybar is not None:
-        ybar = parse_ybar(args.ybar, prob.p)
+        try:
+            ybar = parse_ybar(args.ybar, prob.p)
+        except ProblemValidationError as exc:
+            parser.error(f"--ybar: {exc}")
     elif file_ybar is not None:
         ybar = file_ybar
     else:

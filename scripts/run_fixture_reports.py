@@ -7,6 +7,8 @@ existence verdict with a recovered solution, an asymptotic-condition
 failure under a valid constraint qualification, and a constraint
 qualification failure with diverging Rabier values.
 
+Exits 1 when any verdict exits nonzero.
+
 Usage: python scripts/run_fixture_reports.py [--out DIR] [--fast]
 """
 
@@ -42,12 +44,14 @@ def main():
     config_path.write_text(json.dumps(FAST_CONFIG if args.fast else FULL_CONFIG,
                                       indent=2))
 
+    failed = False
     for name in ("motzkin", "hyperbola", "degenerate_line"):
         problem = ROOT / "problems" / f"{name}.json"
         outdir = args.out / name
         start = time.time()
         rc = vpa_main(["verdict", "--problem", str(problem),
                        "--config", str(config_path), "--out", str(outdir)])
+        failed |= rc != 0
         report = json.loads((outdir / "verdict_report.json").read_text())
         result = report.get("result", {})
         print(f"{name:16s} rc={rc} ({time.time() - start:5.1f}s) "
@@ -60,7 +64,8 @@ def main():
         archive = result.get("archive", [])
         if archive:
             print(f"    archive head  x={archive[0]['x']} f={archive[0]['f']}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

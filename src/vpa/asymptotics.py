@@ -29,6 +29,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
                      ProjectionError, TraceError)
 from .pipeline import Stage, run
+from .polynomials import _combine
 from .problem import (Problem, RaySample, _slice_ok, polish_to_slice,
                       project_to_sphere_slice)
 from .solvers import (minimize_auglag, random_unit_vector, simplex_lattice,
@@ -165,27 +166,17 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     Keeping the section constraints inside the subproblem mirrors how
     below-ybar Fritz-John points arise in the theory: the extra objective
     multipliers fold into tau, so converged points still sit in the tangency
-    variety. The sphere residual is scaled by 1/(2r) for conditioning.
+    variety. The sphere row is scaled by 1/(2r^2); see `_sphere_rows`.
     """
-    finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
-    obj_scale = _objective_scale(prob, weights, start)
-
-    def evaluate(x):
-        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-        sphere = (float(x @ x) - r * r) / (2.0 * r * r)
-        rows = [hv] + [[y - fv[k]] for k, y in finite]
-        jacs = [Jh] + [-Jf[k][None, :] for k, _ in finite]
-        return (float(weights @ fv) / obj_scale, (weights @ Jf) / obj_scale,
-                np.concatenate([gv, [sphere]]),
-                np.vstack([Jg, (x / (r * r))[None, :]]),
-                np.concatenate(rows), np.vstack(jacs))
-
+    objective, sphere, cuts = _sphere_rows(prob, r, weights, ybar, start)
+    _, G, H = prob.maps
+    local = Problem.local(prob.n, objective, [*G, sphere], [*H, *cuts.values()])
     # the loose tier scales with r: degenerate constraint sets keep the raw
     # violation above tol_feas at large radii no matter the penalty; the
     # Gauss-Newton polish and the final absolute acceptance gate restore
     # record-level accuracy afterwards
     return minimize_auglag(
-        evaluate, start,
+        local.evaluate, start,
         tol_feas=cfg.tol_feas,
         tol_feas_loose=cfg.tol_feas * max(1.0, r),
         gtol=1e-9,
@@ -193,13 +184,27 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     )
 
 
-def _objective_scale(prob: Problem, weights: np.ndarray, x) -> float:
-    """1 + max |weights @ Jf(x)|, which normalizes the weighted objective to
-    O(1) at x: far out on the sphere its gradient grows polynomially in r
-    and would otherwise overpower any bounded penalty on degenerate
-    constraint sets."""
-    g0 = weights @ prob.jac_f(x)
-    return 1.0 + float(np.max(np.abs(g0))) if g0.size else 1.0
+def _cut_rows(prob: Problem, ybar: Sequence[float]) -> dict[int, dict]:
+    """The term maps ybar_k - f_k of the section cuts, keyed by the finite k."""
+    one = {(0,) * prob.n: 1.0}
+    return {k: _combine(((y, one), (-1.0, prob.maps[0][k])))
+            for k, y in enumerate(ybar) if math.isfinite(y)}
+
+
+def _sphere_rows(prob: Problem, r: float, weights: np.ndarray,
+                 ybar: Sequence[float], x):
+    """Term maps of the radius-r sphere subproblem: the weighted objective
+    over 1 + max |weights @ Jf(x)|, which normalizes it to O(1) at x (far out
+    on the sphere its gradient grows polynomially in r and would otherwise
+    overpower any bounded penalty on degenerate constraint sets), the sphere
+    row (|x|^2 - r^2)/(2r^2), whose value tracks the relative radius error,
+    and `_cut_rows`."""
+    n = prob.n
+    scale = 1.0 + float(np.max(np.abs(weights @ prob.jac_f(x))))
+    objective = _combine((w / scale, a) for w, a in zip(weights, prob.maps[0]))
+    sphere = {(0,) * i + (2,) + (0,) * (n - i - 1): 0.5 / (r * r)
+              for i in range(n)} | {(0,) * n: -0.5}
+    return objective, sphere, _cut_rows(prob, ybar)
 
 
 def trace_tangency(prob: Problem, ybar: Sequence[float],
@@ -355,45 +360,32 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
     """
     n = prob.n
     x0 = np.asarray(x0, dtype=float)
-    finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
-    obj_scale = _objective_scale(prob, weights, x0)
+    objective, sphere, cuts = _sphere_rows(prob, r, weights, ybar, x0)
+    _, G, H = prob.maps
 
     probe = x0 if active_from is None else np.asarray(active_from, dtype=float)
     fv0, _, hv0, _, _, _ = prob.evaluate(probe)
     window = max(cfg.tol_active, cfg.tol_feas * max(1.0, r) * 10.0)
     active_h = [j for j in range(prob.m) if hv0[j] <= window * (1.0 + abs(hv0[j]))]
-    active_cut = [k for k, y in finite
-                  if (y - fv0[k]) <= window * max(1.0, abs(y))]
+    active_cut = [k for k in cuts if ybar[k] - fv0[k] <= window * max(1.0, abs(ybar[k]))]
 
     def solve_for(active_h, active_cut, x_start):
-        def constraint_rows(x):
-            """Objective gradient and the active constraints' values and
-            Jacobian rows at x."""
-            fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-            vals = [*gv, (float(x @ x) - r * r) / (2.0 * r * r),
-                    *hv[active_h], *(ybar[k] - fv[k] for k in active_cut)]
-            jacs = [*Jg, x / (r * r), *Jh[active_h], *(-Jf[active_cut])]
-            return ((weights @ Jf) / obj_scale, np.array(vals),
-                    np.array(jacs).reshape(len(vals), n))
-
-        grad0, vals0, jacs0 = constraint_rows(x_start)
-        lam0 = np.linalg.lstsq(jacs0.T, grad0, rcond=None)[0]
+        # the active constraints as equalities, in the order of their rows
+        local = Problem.local(n, objective, [*G, sphere, *(H[j] for j in active_h),
+                                             *(cuts[k] for k in active_cut)])
+        _, vals0, _, grad0, jacs0, _ = local.evaluate(x_start)
+        lam0 = np.linalg.lstsq(jacs0.T, grad0[0], rcond=None)[0]
         k = vals0.size
 
         def res_jac(z):
             x, lam = z[:n], z[n:]
-            grad, vals, jacs = constraint_rows(x)
-            stat = grad - jacs.T @ lam
-            # the active constraints' Hessians, in the order of their rows
-            Hf, Hg, Hh = prob.hessians(x)
-            hess = [*Hg, np.eye(n) / (r * r), *Hh[active_h], *(-Hf[active_cut])]
-            Hlag = (sum(w * H for w, H in zip(weights, Hf)) / obj_scale
-                    - sum(l * Hc for l, Hc in zip(lam, hess)))
+            _, vals, _, grad, jacs, _ = local.evaluate(x)
+            Hf, Hg, _ = local.hessians(x)
             J = np.zeros((n + k, n + k))
-            J[:n, :n] = Hlag
+            J[:n, :n] = Hf[0] - np.tensordot(lam, Hg, axes=1)
             J[:n, n:] = -jacs.T
             J[n:, :n] = jacs
-            return np.concatenate([stat, vals]), J
+            return np.concatenate([grad[0] - jacs.T @ lam, vals]), J
 
         z = _newton_stall(res_jac, np.concatenate([x_start, lam0]), max_iter=60)
         return z[:n], z[n:]
@@ -475,8 +467,8 @@ def _chain_start(prob, r, prev, cfg, seed):
 
 
 def flatten_records(traces: Iterable[TraceResult]) -> list[TraceRecord]:
-    records = [rec for tr in traces for rec in tr.records]
-    return sorted(records, key=lambda rec: (rec.radius, rec.point))
+    """Every trace's records in the order they were gathered, trace by trace."""
+    return [rec for tr in traces for rec in tr.records]
 
 
 # -- classification ------------------------------------------------------------

@@ -15,12 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .asymptotics import (TraceResult, below_ybar, chain_stage, classify,
-                          ray_to_trace)
+                          _cut_rows, ray_to_trace)
 from .certificates import mfcq_probe, rabier_value
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, RayError, SectionError,
                      SolveError, TraceError, VpaError)
 from .pipeline import Stage, run, single
+from .polynomials import _combine, _product
 from .problem import Problem, check_feasible, sample_feasible_ray
 from .solvers import minimize_auglag, simplex_lattice
 
@@ -104,12 +105,10 @@ def solve_scalarized(prob: Problem, weights, start,
             or np.any(weights < -1e-12):
         raise ValueError("weights must lie on the unit simplex")
 
-    def evaluate(x):
-        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-        return float(weights @ fv), weights @ Jf, gv, Jg, hv, Jh
-
+    F, G, H = prob.maps
+    local = Problem.local(prob.n, _combine(zip(weights, F)), G, H)
     res = minimize_auglag(
-        evaluate, np.asarray(start, dtype=float),
+        local.evaluate, np.asarray(start, dtype=float),
         tol_feas=cfg.tol_feas, gtol=1e-9,
         divergence_cap=cfg.divergence_cap,
     )
@@ -210,24 +209,16 @@ class SectionReport:
 
 def _section_descent(prob: Problem, ybar, start, cfg: RunConfig):
     """Push max_k(f_k - ybar_k) down over S via the epigraph formulation:
-    minimize t subject to x in S and f_k - ybar_k <= t for finite k."""
-    finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
-    n = prob.n
-    grad = np.zeros(n + 1)
-    grad[-1] = 1.0
-
-    def evaluate(z):
-        x, t = z[:n], z[-1]
-        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-        rows = [hv] + [[t + y - fv[k]] for k, y in finite]
-        jacs = [np.hstack([Jh, np.zeros((prob.m, 1))])] \
-            + [np.append(-Jf[k], 1.0)[None, :] for k, _ in finite]
-        return (float(t), grad, gv, np.hstack([Jg, np.zeros((prob.l, 1))]),
-                np.concatenate(rows), np.vstack(jacs))
-
+    minimize t subject to x in S and t + ybar_k - f_k >= 0 for finite k,
+    t the (n+1)-th variable."""
+    _, G, H = prob.maps
+    lift = lambda a: {e + (0,): c for e, c in a.items()}
+    t = {(0,) * prob.n + (1,): 1.0}
+    cuts = [lift(c) | t for c in _cut_rows(prob, ybar).values()]
+    local = Problem.local(prob.n + 1, t, map(lift, G), [*map(lift, H), *cuts])
     z0 = np.append(np.asarray(start, dtype=float), 1.0)
     return minimize_auglag(
-        evaluate, z0,
+        local.evaluate, z0,
         tol_feas=cfg.tol_feas, gtol=1e-9,
         divergence_cap=cfg.divergence_cap,
     )
@@ -389,32 +380,28 @@ class ExistenceReport:
 
 
 def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
-    """Look for a feasible x with f(x) ~ ybar in the finite components."""
-    finite = [(k, y) for k, y in enumerate(ybar) if math.isfinite(y)]
-    if not finite:
+    """Look for a feasible x with f(x) ~ ybar in the finite components by
+    minimizing sum_k (ybar_k - f_k)^2 over S, squared by `_product`: `_mul`'s
+    degree limit would refuse an accepted objective of degree above 500."""
+    cuts = _cut_rows(prob, ybar)
+    if not cuts:
         return "skipped"
-
-    def evaluate(x):
-        fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-        val = sum((fv[k] - y) ** 2 for k, y in finite)
-        grad = np.zeros(prob.n)
-        for k, y in finite:
-            grad += 2.0 * (fv[k] - y) * Jf[k]
-        return float(val), grad, gv, Jg, hv, Jh
-
+    _, G, H = prob.maps
+    squares = _combine((1.0, _product(c, c)) for c in cuts.values())
+    local = Problem.local(prob.n, squares, G, H)
     rng = np.random.default_rng([cfg.seed, 0xB42])
     for attempt in range(4):
         start = np.ones(prob.n) if attempt == 0 else 2.0 * rng.standard_normal(prob.n)
         try:
             res = minimize_auglag(
-                evaluate, start, tol_feas=cfg.tol_feas, gtol=1e-10,
+                local.evaluate, start, tol_feas=cfg.tol_feas, gtol=1e-10,
                 divergence_cap=cfg.divergence_cap)
         except DivergenceError:
             continue
         if not res.converged:
             continue
         fv = prob.f(res.x)
-        if all(abs(fv[k] - y) <= 1e-4 for k, y in finite):
+        if all(abs(fv[k] - ybar[k]) <= 1e-4 for k in cuts):
             return "verified"
     return "unverified"
 

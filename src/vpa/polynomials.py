@@ -57,8 +57,7 @@ class Polynomial:
 
     @classmethod
     def _from_terms(cls, num_vars: int, terms: dict) -> "Polynomial":
-        """Wrap a canonical term map (see `_canonical`) without the public
-        constructor's validation."""
+        """Wrap a term map without the public constructor's validation."""
         poly = object.__new__(cls)
         poly._init(num_vars, terms)
         return poly
@@ -238,12 +237,27 @@ def _partial(a: dict, var: int) -> dict:
 def _mul(a: dict, b: dict) -> dict:
     _check_degree(_degree(a) + _degree(b))
     _check_expansion(len(a) * len(b))
+    return _canonical(_product(a, b))
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a * b as a raw term map: like terms merged, no coefficient dropped,
+    no limit checked."""
     terms: dict[tuple, float] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = tuple(map(operator.add, e1, e2))
             terms[key] = terms.get(key, 0.0) + c1 * c2
-    return _canonical(terms)
+    return terms
+
+
+def _combine(pairs) -> dict:
+    """sum(c * a) over the (c, a) pairs as a raw term map (see `_product`)."""
+    terms: dict[tuple, float] = {}
+    for c, a in pairs:
+        for e, v in a.items():
+            terms[e] = terms.get(e, 0.0) + c * v
+    return terms
 
 
 def _pow(a: dict, k: int, num_vars: int) -> dict:

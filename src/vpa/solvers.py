@@ -199,10 +199,10 @@ def minimize_auglag(evaluate, x0, *,
     minimized by `_lbfgsb` (at most `inner_maxiter` iterations, boxed to
     `divergence_cap`), whose iterates are bitwise those of scipy's L-BFGS-B.
 
-    `evaluate(x)` returns (value, gradient, eq_values, eq_jacobian,
-    ineq_values, ineq_jacobian): the objective, the equalities targeting 0
-    and the inequalities targeting >= 0, with empty blocks of shapes (0,)
-    and (0, n); one call gives everything the solver needs at a point.
+    `evaluate` is a one-objective `Problem`'s `evaluate`, or a function of
+    the same contract: `evaluate(x)` returns (f, g, h, Jf, Jg, Jh), the
+    objective as a (1,) block, the equalities g = 0 and the inequalities
+    h >= 0, with their Jacobians; empty blocks have shapes (0,) and (0, n).
     Raises DivergenceError once iterates reach `divergence_cap` in infinity
     norm. Stationarity is judged relative to the local gradient scale,
     feasibility absolutely.
@@ -224,7 +224,7 @@ def minimize_auglag(evaluate, x0, *,
     x = np.asarray(x0, dtype=float).copy()
     loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
 
-    _, _, e0, _, c0, _ = evaluate(x)
+    _, e0, c0, _, _, _ = evaluate(x)
     y = np.zeros(e0.size)
     nu = np.zeros(c0.size)
     rho = rho0
@@ -232,16 +232,12 @@ def minimize_auglag(evaluate, x0, *,
     bound = divergence_cap if divergence_cap is not None else np.inf
 
     def violation_of(ev, cv):
-        parts = [0.0]
-        if ev.size:
-            parts.append(float(np.max(np.abs(ev))))
-        if cv.size:
-            parts.append(float(np.max(np.maximum(0.0, -cv))))
-        return max(parts)
+        return max(0.0, float(np.max(np.abs(ev), initial=0.0)),
+                   float(np.max(-cv, initial=0.0)))
 
     def augmented(point):
-        fval, fgrad, ev, Je, cv, Jc = point
-        val, grad = fval, fgrad     # read-only: _lbfgsb copies the gradient
+        fv, ev, cv, Jf, Je, Jc = point
+        val, grad = float(fv[0]), Jf[0]     # read-only: _lbfgsb copies it
         if ev.size:
             val += float(-y @ ev + 0.5 * rho * ev @ ev)
             grad = grad + Je.T @ (rho * ev - y)
@@ -263,14 +259,10 @@ def minimize_auglag(evaluate, x0, *,
                 f"iterates reached the norm cap {bound:g}; "
                 "the subproblem is likely unbounded", point=x)
         point = evaluate(x)
-        _, fgrad, ev, Je, cv, Jc = point
+        _, ev, cv, Jf, Je, Jc = point
         viol = violation_of(ev, cv)
         _, al_grad = augmented(point)
-        gscale = max(1.0, float(np.max(np.abs(fgrad))) if fgrad.size else 1.0)
-        if Je.size:
-            gscale = max(gscale, float(np.max(np.abs(Je))))
-        if Jc.size:
-            gscale = max(gscale, float(np.max(np.abs(Jc))))
+        gscale = max(1.0, *(float(np.max(np.abs(J), initial=0.0)) for J in (Jf, Je, Jc)))
         stationarity = float(np.max(np.abs(al_grad))) if al_grad.size else 0.0
 
         if viol <= tol_feas and stationarity <= gtol * gscale:
@@ -315,13 +307,13 @@ def minimize_auglag(evaluate, x0, *,
                     stalled = 0
         prev_violation = viol
 
-    fval, _, ev, _, cv, _ = point
+    fv, ev, cv, _, _, _ = point
     if outcome == "iteration_limit" and violation_of(ev, cv) <= loose:
         outcome = "converged"
     _, al_grad = augmented(point)
     return AuglagResult(
         x=x,
-        objective=float(fval),
+        objective=float(fv[0]),
         outcome=outcome,
         violation=violation_of(ev, cv),
         stationarity=float(np.max(np.abs(al_grad))) if al_grad.size else 0.0,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vpa import Problem, asymptotics, make_record, pipeline
-from vpa.asymptotics import (TraceResult, classify, flatten_records,
+from vpa.asymptotics import (TraceRecord, TraceResult, classify, flatten_records,
                              trace_csv, trace_from_points, trace_tangency)
 from vpa.errors import ClassifyError, ProjectionError, TraceError
 from vpa.polynomials import Polynomial
@@ -244,6 +244,18 @@ class TestCsvExport:
                            "below_ybar"]
         assert len(rows) == 3
         assert rows[1][8] in ("0", "1")
+
+    def test_rows_follow_the_traces(self):
+        # sorting by (radius, point) would put b's records first, and the
+        # order of the two radius-10 records would rest on x1's last bits
+        def record(radius, point):
+            return TraceRecord(radius, point, (0.0,), 0.0, 0.0, True, True)
+        a = TraceResult("a", [record(10.0, (1e-15, 10.0))])
+        b = TraceResult("b", [record(10.0, (-1e-15, 10.0)), record(5.0, (5.0, 0.0))])
+        records = flatten_records([a, b])
+        assert records == [*a.records, *b.records]
+        rows = list(csv.reader(io.StringIO(trace_csv(records, 2, 1))))
+        assert [row[1] for row in rows[1:]] == ["1e-15", "-1e-15", "5.0"]
 
 
 class TestChainStart:

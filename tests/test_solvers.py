@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from vpa import solvers
+from vpa import Problem, parse, solvers
 from vpa.errors import DivergenceError, KernelError
 from vpa.solvers import min_norm_simplex_cone, minimize_auglag
 
@@ -104,15 +104,9 @@ class TestGaussNewton:
         assert np.array_equal(x + d, x) and solvers.step_below_resolution(d, x)
 
 
-def no_block(n):
-    """An empty constraint block: no values, a (0, n) Jacobian."""
-    return np.zeros(0), np.zeros((0, n))
-
-
-def sum_to_one(x):
-    """min x.x subject to x1 + x2 = 1."""
-    return (float(x @ x), 2.0 * x, np.array([x[0] + x[1] - 1.0]),
-            np.array([[1.0, 1.0]]), *no_block(2))
+# min x.x subject to x1 + x2 = 1
+sum_to_one = Problem(2, (parse("x1^2 + x2^2", 2),),
+                     (parse("x1 + x2 - 1", 2),)).evaluate
 
 
 class TestMinimizeAuglag:
@@ -125,20 +119,15 @@ class TestMinimizeAuglag:
         assert res.violation <= 1e-8 and res.ineq_multipliers.size == 0
 
     def test_unsatisfiable_equality_is_infeasible(self):
-        def evaluate(x):
-            return (float(x @ x), 2.0 * x, np.array([x[0] ** 2 + 1.0]),
-                    np.array([[2.0 * x[0]]]), *no_block(1))
-
-        res = minimize_auglag(evaluate, np.array([0.5]))
+        prob = Problem(1, (parse("x1^2", 1),), (parse("x1^2 + 1", 1),))
+        res = minimize_auglag(prob.evaluate, np.array([0.5]))
         assert res.outcome == "infeasible" and not res.converged
         assert res.violation == pytest.approx(1.0)
 
     def test_unbounded_objective_diverges_at_the_cap(self):
-        def evaluate(x):
-            return float(x[0]), np.array([1.0]), *no_block(1), *no_block(1)
-
+        prob = Problem(1, (parse("x1", 1),))
         with pytest.raises(DivergenceError) as info:
-            minimize_auglag(evaluate, np.array([0.0]), divergence_cap=1e3)
+            minimize_auglag(prob.evaluate, np.array([0.0]), divergence_cap=1e3)
         assert info.value.point.tolist() == [-1e3]
 
     def test_small_outer_budget_hits_the_iteration_limit(self):
