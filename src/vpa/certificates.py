@@ -28,7 +28,7 @@ from scipy.optimize import linprog
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InfeasiblePointError
-from .problem import Problem, check_feasible, evaluate_finite
+from .problem import Problem, _feasibility, evaluate_finite
 from .solvers import min_norm_simplex_cone
 
 
@@ -80,7 +80,7 @@ _NOISE_FLOOR = 1e-7
 def _require_feasible(prob: Problem, x, cfg: RunConfig):
     """Feasibility report and the evaluation (f, g, h, Jf, Jg, Jh) at x."""
     values = evaluate_finite(prob, x)
-    report = check_feasible(prob, x, cfg.tol_feas, cfg.tol_active)
+    report = _feasibility(values[1], values[2], cfg.tol_feas, cfg.tol_active)
     if not report.feasible:
         raise InfeasiblePointError(
             f"point is infeasible (eq violation {report.max_equality_violation:.3e}, "

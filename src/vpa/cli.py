@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .certificates import mfcq_probe, rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ParseError, ProblemValidationError, VpaError
 from .pipeline import run
-from .problem import check_feasible, evaluate_finite, load_problem, parse_ybar
+from .problem import _feasibility, evaluate_finite, load_problem, parse_ybar
 
 COMMANDS = ("eval", "rabier", "mfcq", "tangency", "trace", "classify",
             "section", "solve", "verdict")
@@ -46,33 +47,84 @@ class InputError(Exception):
     """Bad command line, problem file, or config file."""
 
 
-def to_jsonable(obj):
-    """Recursively convert report objects into JSON-safe structures.
+# The report format is the text json.dumps(indent=2, sort_keys=True) gives,
+# with infinities and NaN written as the "+inf"/"-inf"/"nan" tokens of problem
+# files (so the text stays standard JSON), numpy scalars and arrays as
+# numbers, booleans and lists, dataclasses as objects of their fields, dict
+# keys as str(key), and any other object as str(obj). With `indent` set,
+# CPython 3.11's json runs its pure-Python encoder, a chain of generators;
+# `_encode` writes the same bytes in one recursive pass.
 
-    Infinities become the "+inf"/"-inf" tokens used by problem files so the
-    emitted JSON stays standard-compliant.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
+_escape = json.encoder.encode_basestring_ascii
+_INDENT = "  "
+
+
+def _json_text(obj) -> str:
+    """The report format's text of `obj`, without a trailing newline."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, pad: str) -> str:
+    """JSON text of `obj` nested at `pad`, the newline and indentation that
+    open each line of the enclosing container's entries."""
+    if isinstance(obj, str):
+        return _escape(obj)
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "+inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return to_jsonable(obj.item())
+        return _float_text(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, np.floating):
+        return _float_text(float(obj))
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # the fields themselves: dataclasses.asdict would deep-copy them first
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+        return _encode(obj.tolist(), pad)
+    names = _field_names(type(obj))
+    if names is not None:
+        return _encode_items([(name, getattr(obj, name)) for name in names], pad)
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return _encode_items(sorted({str(k): v for k, v in obj.items()}.items()), pad)
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return str(obj)
+        return _encode_list(obj, pad)
+    return _escape(str(obj))
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """A dataclass's field names, sorted; None for any other type."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    return tuple(sorted(f.name for f in dataclasses.fields(kind)))
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return '"nan"'
+    if x in (math.inf, -math.inf):
+        return '"+inf"' if x > 0 else '"-inf"'
+    return float.__repr__(x)
+
+
+def _encode_items(items, pad: str) -> str:
+    """A JSON object of (key, value) pairs, keys sorted and distinct."""
+    if not items:
+        return "{}"
+    inner = pad + _INDENT
+    return ("{" + inner
+            + ("," + inner).join([_escape(k) + ": " + _encode(v, inner) for k, v in items])
+            + pad + "}")
+
+
+def _encode_list(values, pad: str) -> str:
+    if not values:
+        return "[]"
+    inner = pad + _INDENT
+    return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in values])
+            + pad + "]")
 
 
 def _parse_point(text: str, n: int) -> np.ndarray:
@@ -116,8 +168,8 @@ def _resolve_ybar(args, file_ybar, p):
 
 def _cmd_eval(prob, ybar, point, cfg, outdir):
     f, g, h, _, _, _ = evaluate_finite(prob, point)
-    report = check_feasible(prob, point, cfg.tol_feas, cfg.tol_active)
-    return {"f": list(f), "g": list(g), "h": list(h), "feasibility": report}
+    return {"f": list(f), "g": list(g), "h": list(h),
+            "feasibility": _feasibility(g, h, cfg.tol_feas, cfg.tol_active)}
 
 
 def _cmd_rabier(prob, ybar, point, cfg, outdir):
@@ -166,7 +218,7 @@ def _write_archive(outdir, prob, archive) -> list[dict]:
     report."""
     _write_output(outdir / "front.csv", pareto.front_csv(archive, prob.p))
     data = pareto.archive_to_jsonable(archive)
-    _write_output(outdir / "archive.json", json.dumps(data, indent=2, sort_keys=True))
+    _write_output(outdir / "archive.json", _json_text(data))
     return data
 
 
@@ -301,8 +353,7 @@ def main(argv=None) -> int:
         print(f"vpa: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_OPERATION
 
-    _write_output(outdir / f"{args.command}_report.json",
-                  json.dumps(to_jsonable(envelope), indent=2, sort_keys=True) + "\n")
+    _write_output(outdir / f"{args.command}_report.json", _json_text(envelope) + "\n")
     return code
 
 

@@ -197,18 +197,16 @@ class Polynomial:
 # -- term maps ----------------------------------------------------------------
 #
 # Expansion runs on plain term maps, dicts from exponent tuples to float
-# coefficients. Every operation returns a canonical map: like terms merged,
-# coefficients at or below COEFF_EPS dropped, keys in ascending lexicographic
-# order, which is what Polynomial's constructor would make of it. The parser
-# and Polynomial's operators share these functions.
+# coefficients. Every operation takes and returns canonical maps: like terms
+# merged, coefficients at or below COEFF_EPS dropped, keys in ascending
+# lexicographic order, which is what Polynomial's constructor would make of
+# it (`_product` and `_combine` return raw maps). The parser and
+# Polynomial's operators share these functions.
 
 def _canonical(terms: dict) -> dict:
     """Sort a merged term map and drop coefficients at or below COEFF_EPS;
     refuse a coefficient that overflowed to infinity."""
-    clean = {e: c for e, c in sorted(terms.items()) if abs(c) > COEFF_EPS}
-    if math.inf in map(abs, clean.values()):
-        raise ExpansionError("a coefficient overflows to infinity")
-    return clean
+    return {e: c for e, c in sorted(terms.items()) if _kept(c)}
 
 
 def _degree(terms: dict) -> int:
@@ -237,7 +235,24 @@ def _partial(a: dict, var: int) -> dict:
 def _mul(a: dict, b: dict) -> dict:
     _check_degree(_degree(a) + _degree(b))
     _check_expansion(len(a) * len(b))
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (shift, c), = a.items()
+        return _shifted(b, shift, c)
     return _canonical(_product(a, b))
+
+
+def _shifted(a: dict, shift: tuple, c: float) -> dict:
+    """c * x^shift * a for a canonical `a`, as `_canonical(_product(...))`
+    would make it. Adding one exponent vector to every key keeps the keys
+    distinct and in order, so only the drops and the overflow check remain."""
+    terms = {}
+    for e, v in a.items():
+        v = _kept(c * v)
+        if v:
+            terms[tuple(map(operator.add, shift, e))] = v
+    return terms
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -278,6 +293,16 @@ def _pow(a: dict, k: int, num_vars: int) -> dict:
         base = _mul(base, base) if k > 1 else base
         k >>= 1
     return result
+
+
+def _kept(c: float) -> float:
+    """The one rule for a merged coefficient: 0.0 where it is at or below
+    COEFF_EPS (or NaN), an ExpansionError where it overflowed, else `c`."""
+    if not abs(c) > COEFF_EPS:
+        return 0.0
+    if math.isinf(c):
+        raise ExpansionError("a coefficient overflows to infinity")
+    return c
 
 
 def _check_expansion(terms: int):
@@ -455,7 +480,7 @@ class _Parser:
             coeff = float(value)
             if math.isinf(coeff):
                 raise ParseError("number overflows to infinity", pos)
-            return _canonical({(0,) * n: coeff})
+            return {(0,) * n: coeff} if _kept(coeff) else {}
         if kind == "var":
             digits = value[1:].lstrip("0") or "0"
             if digits == "0":

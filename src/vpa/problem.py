@@ -164,6 +164,11 @@ def check_feasible(prob: Problem, x, tol_feas: float = DEFAULT_CONFIG.tol_feas,
     if tol_feas <= 0:
         raise ValueError("tol_feas must be positive")
     _, gv, hv, _, _, _ = prob.evaluate(x)
+    return _feasibility(gv, hv, tol_feas, tol_active)
+
+
+def _feasibility(gv, hv, tol_feas: float, tol_active: float) -> FeasibilityReport:
+    """`check_feasible`'s report from the values g(x), h(x) already in hand."""
     eq_viol = float(np.max(np.abs(gv))) if gv.size else 0.0
     ineq_viol = max(0.0, float(np.max(-hv))) if hv.size else 0.0
     active = tuple(int(j) for j in np.nonzero(np.abs(hv) <= tol_active)[0])

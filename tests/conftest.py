@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import hypothesis
@@ -34,3 +35,14 @@ def degenerate_line():
 @pytest.fixture(scope="session")
 def light_config():
     return LIGHT_CONFIG
+
+
+def assert_reports_reencode(root):
+    """Every report and archive.json under `root` is the report format's own
+    re-encoding: indent 2, sorted keys, ASCII escapes; reports end in a
+    newline, archives do not."""
+    root = pathlib.Path(root)
+    for path in [*root.rglob("*_report.json"), *root.rglob("archive.json")]:
+        text = path.read_text()
+        tail = "\n" if path.name.endswith("_report.json") else ""
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + tail, path

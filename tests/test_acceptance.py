@@ -22,7 +22,7 @@ from vpa.pareto import nondominated_filter, sample_mfcq_evidence
 from vpa.polynomials import Polynomial
 from vpa.problem import sample_feasible_ray
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, assert_reports_reencode
 from test_pareto import brute_force_filter
 from test_polynomials import central_difference, random_polynomial
 
@@ -260,3 +260,4 @@ def test_criterion_verdict_determinism(tmp_path):
                           (out / "archive.json").read_bytes(),
                           (out / "front.csv").read_bytes()))
         assert blobs[0] == blobs[1]
+        assert_reports_reencode(tmp_path)

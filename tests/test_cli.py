@@ -7,6 +7,7 @@ import stat
 
 import pytest
 
+from conftest import assert_reports_reencode
 from vpa.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_OPERATION, PARSER, main
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -22,6 +23,14 @@ def run(args):
 
 def report(outdir, command):
     return json.loads((pathlib.Path(outdir) / f"{command}_report.json").read_text())
+
+
+@pytest.fixture(autouse=True)
+def reports_reencode(tmp_path):
+    """Checked after every test: the files a test wrote re-encode to their
+    own bytes."""
+    yield
+    assert_reports_reencode(tmp_path)
 
 
 @pytest.fixture()

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import assert_reports_reencode
 from vpa import DEFAULT_CONFIG, Problem, load_problem, parse, pareto, pipeline
 from vpa.asymptotics import trace_tangency
 from vpa.cli import main
@@ -262,6 +263,7 @@ class TestPathEquivalence:
         serial, pooled = both_paths(monkeypatch, lambda: outputs(next(runs)))
         assert ("verdict", "verdict_report.json") in serial
         assert serial == pooled
+        assert_reports_reencode(tmp_path)
 
 
 class TestPickling:

@@ -1,5 +1,7 @@
+import math
 import pathlib
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -313,3 +315,164 @@ def test_zero_polynomial_prints_and_evaluates():
     assert z.degree() == 0
     assert z.evaluate([1.0, 2.0, 3.0]) == 0.0
     assert parse("0", 3) == z
+
+
+# -- the one-term fast path of _mul against the general path ------------------
+
+def general_mul(a, b):
+    """`_mul` without its fast path: every product through merge-and-sort."""
+    polynomials._check_degree(polynomials._degree(a) + polynomials._degree(b))
+    polynomials._check_expansion(len(a) * len(b))
+    return polynomials._canonical(polynomials._product(a, b))
+
+
+def general_pow(a, k, num_vars):
+    """`_pow` with every square and product through `general_mul`."""
+    degree = polynomials._degree(a)
+    polynomials._check_degree(k * degree)
+    if len(a) > 1:
+        bound = math.comb(len(a) + k - 1, k)
+        if bound > polynomials.MAX_TERMS:
+            polynomials._check_expansion(
+                min(bound, math.comb(num_vars + k * degree, num_vars)))
+    result = {(0,) * num_vars: 1.0}
+    base = a
+    while k:
+        if k & 1:
+            result = general_mul(result, base)
+        base = general_mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+@contextmanager
+def general_path():
+    """The parser with `_mul` and `_pow` replaced by the general path."""
+    saved = polynomials._mul, polynomials._pow
+    polynomials._mul, polynomials._pow = general_mul, general_pow
+    try:
+        yield
+    finally:
+        polynomials._mul, polynomials._pow = saved
+
+
+def outcome(op, *args):
+    """The term map in key order, or the ExpansionError's text and position."""
+    try:
+        result = op(*args)
+    except ExpansionError as exc:
+        return "error", str(exc), exc.position
+    return "ok", list(getattr(result, "terms", result).items())
+
+
+EPS = polynomials.COEFF_EPS
+ROOT_EPS = math.sqrt(EPS)
+# coefficients whose products land on either side of COEFF_EPS, or overflow
+BOUNDARY = [math.nextafter(EPS, 1.0), 2 * EPS, ROOT_EPS, math.nextafter(ROOT_EPS, 0.0),
+            math.nextafter(ROOT_EPS, 1.0), 1e-8, 0.5, 1.0, -1.0, 3.0, 1e154, 1e200,
+            -1e300, 1.7976931348623157e308]
+COEFFS = st.sampled_from(BOUNDARY + [-c for c in BOUNDARY]) | st.floats(
+    -1e6, 1e6).filter(lambda c: abs(c) > EPS)
+
+
+def term_maps(n, max_terms):
+    """Canonical term maps over x1..xn with up to `max_terms` terms."""
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(polynomials._canonical)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(term_maps(n, 1), term_maps(n, 5))), st.booleans())
+def test_mul_fast_path_is_the_general_path(maps, swap):
+    one, many = maps
+    a, b = (many, one) if swap else (one, many)
+    assert outcome(polynomials._mul, a, b) == outcome(general_mul, a, b)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_maps(n, 1))),
+       st.integers(0, 40) | st.sampled_from([250, 999, 1000, 1001]))
+def test_pow_of_one_term_is_the_general_path(case, k):
+    n, a = case
+    assert outcome(polynomials._pow, a, k, n) == outcome(general_pow, a, k, n)
+
+
+LITERALS = ["0", "2", "0.5", "3.7", "0.000000000000001", "0.0000000000000011",
+            "0.00000003162277660168379", "0.00000003162277660168380",
+            "1" + "0" * 154, "1" + "0" * 200]
+
+
+def expression_texts(n):
+    leaves = st.sampled_from(LITERALS + [f"x{i}" for i in range(1, n + 1)])
+
+    def nodes(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map("".join),
+            st.tuples(children, st.integers(0, 9)).map(lambda t: f"({t[0]})^{t[1]}"),
+            children.map(lambda text: f"-({text})"))
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), expression_texts(n))))
+def test_parse_with_fast_paths_is_parse_with_the_general_path(case):
+    n, text = case
+    fast = outcome(parse, text, n)
+    with general_path():
+        assert fast == outcome(parse, text, n)
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_number_atom_is_its_canonical_map(text):
+    expected = polynomials._canonical({(0, 0): float(text)})
+    assert list(parse(text, 2).terms.items()) == list(expected.items())
+
+
+class TestFastPathLimits:
+    """The degree and term limits fire before a one-term product or power
+    forms anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_expansion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("expanded before the limit check")
+        monkeypatch.setattr(polynomials, "_shifted", refuse)
+
+    def test_product_degree(self):
+        with pytest.raises(ExpansionError, match="degree 1001"):
+            polynomials._mul({(600,): 1.0}, {(401,): 2.0})
+
+    def test_product_terms(self):
+        side = math.isqrt(polynomials.MAX_TERMS) + 1     # degree < 2 * side
+        many = dict.fromkeys([(i, j) for i in range(side) for j in range(side)]
+                             [:polynomials.MAX_TERMS + 1], 1.0)
+        with pytest.raises(ExpansionError, match="100001 terms"):
+            polynomials._mul({(0, 1): 2.0}, many)
+
+    def test_power_degree(self):
+        with pytest.raises(ExpansionError, match="degree 1002"):
+            polynomials._pow({(2,): 3.0}, 501, 1)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("(10*x1)^400", "overflows to infinity", 7),
+    ("2*x1^3*x2*10^300*10^300", "overflows to infinity", 16),
+    ("(x1^501)^2", "degree 1002", 8),
+    ("(x1^2)^500*x2", "degree 1001", 10),
+])
+def test_fast_path_errors_keep_their_text_and_position(text, message, position):
+    fast = outcome(parse, text, 2)
+    with general_path():
+        assert fast == outcome(parse, text, 2)
+    assert fast[0] == "error" and message in fast[1] and fast[2] == position
+
+
+def test_dropped_power_is_the_zero_polynomial():
+    # (1e-8)^2 falls below COEFF_EPS at the first squaring, and stays zero
+    for text in ("(0.00000001*x1)^2", "(0.00000001*x1)^3", "x2*(0.00000001*x1)^5"):
+        fast = outcome(parse, text, 2)
+        with general_path():
+            assert fast == outcome(parse, text, 2) == ("ok", [])
