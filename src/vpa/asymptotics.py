@@ -27,12 +27,12 @@ import numpy as np
 from .certificates import rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
-                     ProjectionError, TraceError)
+                     NonFiniteError, ProjectionError, TraceError)
 from .pipeline import Stage, run
 from .polynomials import _combine
-from .problem import (Problem, RaySample, _slice_ok, polish_to_slice,
-                      project_to_sphere_slice)
-from .solvers import (minimize_auglag, random_unit_vector, simplex_lattice,
+from .problem import (Problem, RaySample, _slice_ok, _slice_residual,
+                      polish_to_slice, project_to_sphere_slice)
+from .solvers import (_EPS, minimize_auglag, random_unit_vector, simplex_lattice,
                       step_below_resolution)
 
 CONDITIONS = ("proper", "palais_smale", "cerami", "m_tame")
@@ -176,7 +176,7 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     # Gauss-Newton polish and the final absolute acceptance gate restore
     # record-level accuracy afterwards
     return minimize_auglag(
-        local.evaluate, start,
+        local, start,
         tol_feas=cfg.tol_feas,
         tol_feas_loose=cfg.tol_feas * max(1.0, r),
         gtol=1e-9,
@@ -293,13 +293,22 @@ def _slice_point_ok(prob, x, r, ybar, cfg):
 
 
 def _finish_point(prob, r, weights, ybar, x, cfg, active_from=None):
+    """The KKT polish, then the slice polish unless the KKT-polished point
+    is on the slice to rounding level: it passes `_slice_ok` and its slice
+    residual has norm at most eps. There the slice polish's Gauss-Newton,
+    with one sphere row and n unknowns on the hyperbola, only walks the
+    point along the slice, which flipped `in_tangency` flags. A point that
+    passes `_slice_ok` with a larger residual, as on the degenerate line
+    far out, is still pinned by it."""
     refined = _kkt_polish(prob, r, weights, ybar, x, cfg,
                           active_from=active_from)
     if refined is not None:
         x = refined
-    polished = polish_to_slice(prob, x, r, cfg)
-    if polished is not None:
-        x = polished
+    if refined is None or not _slice_ok(prob, x, r, cfg) \
+            or float(np.linalg.norm(_slice_residual(prob, r)(x)[0])) > _EPS:
+        polished = polish_to_slice(prob, x, r, cfg)
+        if polished is not None:
+            x = polished
     return x if _slice_point_ok(prob, x, r, ybar, cfg) else None
 
 
@@ -329,7 +338,7 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
         projected_attempts += int(projected)
         try:
             res = _sphere_subproblem(prob, r, weights, ybar, start, cfg)
-        except DivergenceError:
+        except (DivergenceError, NonFiniteError):
             continue
         if res.outcome == "infeasible":
             # emptiness evidence only counts from a start that actually sat

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,12 +19,12 @@ from .asymptotics import (TraceResult, below_ybar, chain_stage, classify,
                           _cut_rows, ray_to_trace)
 from .certificates import mfcq_probe, rabier_value
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (ClassifyError, DivergenceError, RayError, SectionError,
-                     SolveError, TraceError, VpaError)
+from .errors import (ClassifyError, DivergenceError, NonFiniteError, RayError,
+                     SectionError, SolveError, TraceError, VpaError)
 from .pipeline import Stage, run, single
 from .polynomials import _combine, _product
 from .problem import Problem, check_feasible, sample_feasible_ray
-from .solvers import minimize_auglag, simplex_lattice
+from .solvers import _auglag_lanes, minimize_auglag, simplex_lattice
 
 STATUS_GUARANTEED = "existence guaranteed (evidence)"
 STATUS_INAPPLICABLE = "theorem inapplicable"
@@ -94,35 +95,62 @@ class ParetoArchive:
 
 def solve_scalarized(prob: Problem, weights, start,
                      cfg: RunConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float]:
-    """Minimize the weighted objective sum over S from a local start.
+    """Minimize the weighted objective sum over S from a local start: one
+    lane of `_scalarized_lanes`.
 
     Returns (x, rabier residual). Raises DivergenceError when iterates hit
-    the norm cap (likely unbounded scalarization) and SolveError when the
-    local solver stalls or the result is not stationary at tol_stationary.
+    the norm cap (likely unbounded scalarization), NonFiniteError when a
+    value overflows, and SolveError when the local solver stalls or the
+    result is not stationary at tol_stationary.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (prob.p,) or abs(float(weights.sum()) - 1.0) > 1e-9 \
             or np.any(weights < -1e-12):
         raise ValueError("weights must lie on the unit simplex")
+    ((label, value),) = _scalarized_lanes(prob, [(weights, start)], cfg)
+    if label != "ok":
+        raise value
+    return value
 
-    F, G, H = prob.maps
-    local = Problem.local(prob.n, _combine(zip(weights, F)), G, H)
-    res = minimize_auglag(
-        local.evaluate, np.asarray(start, dtype=float),
-        tol_feas=cfg.tol_feas, gtol=1e-9,
-        divergence_cap=cfg.divergence_cap,
-    )
+
+# how a scalarized run can fail, in the order the front's note counts them
+_FAILURES = ("not stationary", "infeasible", "iteration limit", "diverged",
+             "non-finite")
+
+
+def _scalarized_lanes(prob: Problem, draws, cfg: RunConfig) -> list[tuple]:
+    """The weighted-sum solves of `draws`, (weights, start) pairs, as lanes
+    of one `solvers._auglag_lanes` run on prob's own table: each lane
+    applies its weights to the objective rows.
+
+    Returns per draw ("ok", (x, rabier residual)), or a label of
+    `_FAILURES` and the error `solve_scalarized` raises for it.
+    """
+    weights = np.array([w for w, _ in draws], dtype=float)
+    results = _auglag_lanes(
+        prob._evaluate_batch, [x0 for _, x0 in draws], (prob.p, prob.l, prob.m),
+        weights,
+        tol_feas=cfg.tol_feas, gtol=1e-9, divergence_cap=cfg.divergence_cap)
+    return [_scalarized_outcome(prob, res, cfg) for res in results]
+
+
+def _scalarized_outcome(prob: Problem, res, cfg: RunConfig) -> tuple:
+    """One lane's label and value. A converged lane's point is feasible:
+    its violation came from the product row, which is `prob.evaluate`'s
+    vector bit for bit, at tol_feas."""
+    if isinstance(res, DivergenceError):
+        return "diverged", res
+    if isinstance(res, NonFiniteError):
+        return "non-finite", res
     if not res.converged:
-        raise SolveError(f"scalarized solve did not converge (outcome {res.outcome}, "
-                         f"violation {res.violation:.3e})")
-    report = check_feasible(prob, res.x, cfg.tol_feas, cfg.tol_active)
-    if not report.feasible:
-        raise SolveError("scalarized solve returned an infeasible point")
+        return res.outcome.replace("_", " "), SolveError(
+            f"scalarized solve did not converge (outcome {res.outcome}, "
+            f"violation {res.violation:.3e})")
     residual = rabier_value(prob, res.x, cfg).value
     if residual > cfg.tol_stationary:
-        raise SolveError(f"scalarized solve is not stationary "
-                         f"(rabier residual {residual:.3e})")
-    return res.x, residual
+        return "not stationary", SolveError(
+            f"scalarized solve is not stationary (rabier residual {residual:.3e})")
+    return "ok", (res.x, residual)
 
 
 def _weight_draws(p: int, cfg: RunConfig) -> list[np.ndarray]:
@@ -148,8 +176,9 @@ def solve_front(prob: Problem, ybar: Sequence[float],
     filters them to a mutually nondominated archive.
 
     Weighted sums only reach supported points, so nonconvex fronts may be
-    undersampled; the archive is evidence, not an enumeration. Each
-    (weight, start) pair is an independent unit of `pipeline.run`.
+    undersampled; the archive is evidence, not an enumeration. The
+    (weight, start) pairs run as lanes of one `_scalarized_lanes` call, one
+    unit of `pipeline.run`.
     """
     with run(front_stage(prob, ybar, cfg)) as (front,):
         return front()
@@ -157,21 +186,21 @@ def solve_front(prob: Problem, ybar: Sequence[float],
 
 def front_stage(prob: Problem, ybar: Sequence[float],
                 cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
-    """The scalarizations of `solve_front`, one unit each; the stage's result
-    is the archive."""
+    """The scalarizations of `solve_front` as one unit; the stage's result
+    is the archive. Raises SolveError, counting the failures by kind, when
+    every run fails."""
     draws = [(weights, start)
              for widx, weights in enumerate(_weight_draws(prob.p, cfg))
              for start in _starts(prob, cfg, widx)]
 
     def archive(handles) -> ParetoArchive:
+        (handle,) = handles
+        outcomes = handle.result()
         out = ParetoArchive(mode="pareto")
-        failures = 0
-        for (weights, _), handle in zip(draws, handles):
-            try:
-                x, residual = handle.result()
-            except (SolveError, DivergenceError):
-                failures += 1
+        for (weights, _), (label, value) in zip(draws, outcomes):
+            if label != "ok":
                 continue
+            x, residual = value
             fval = prob.f(x)
             if not below_ybar(fval, ybar, cfg.tol_active):
                 continue
@@ -181,12 +210,13 @@ def front_stage(prob: Problem, ybar: Sequence[float],
                 weights=tuple(float(t) for t in weights),
                 rabier_residual=residual,
             ))
-        if failures == len(draws):
-            raise SolveError(f"all {len(draws)} scalarized runs failed")
+        failed = Counter(label for label, _ in outcomes if label != "ok")
+        if sum(failed.values()) == len(draws):
+            counts = ", ".join(f"{failed[k]} {k}" for k in _FAILURES if failed[k])
+            raise SolveError(f"all {len(draws)} scalarized runs failed ({counts})")
         return out
 
-    return Stage(tuple((solve_scalarized, (prob, weights, start, cfg))
-                       for weights, start in draws), archive)
+    return Stage(((_scalarized_lanes, (prob, draws, cfg)),), archive)
 
 
 # -- section probing --------------------------------------------------------------
@@ -218,7 +248,7 @@ def _section_descent(prob: Problem, ybar, start, cfg: RunConfig):
     local = Problem.local(prob.n + 1, t, map(lift, G), [*map(lift, H), *cuts])
     z0 = np.append(np.asarray(start, dtype=float), 1.0)
     return minimize_auglag(
-        local.evaluate, z0,
+        local, z0,
         tol_feas=cfg.tol_feas, gtol=1e-9,
         divergence_cap=cfg.divergence_cap,
     )
@@ -259,6 +289,8 @@ def section_probe(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
         start = 2.0 * rng.standard_normal(prob.n)
         try:
             res = _section_descent(prob, ybar, start, cfg)
+        except NonFiniteError:
+            continue
         except DivergenceError as exc:
             x = exc.point[:prob.n] if exc.point is not None else None
             if x is not None:
@@ -394,9 +426,9 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
         start = np.ones(prob.n) if attempt == 0 else 2.0 * rng.standard_normal(prob.n)
         try:
             res = minimize_auglag(
-                local.evaluate, start, tol_feas=cfg.tol_feas, gtol=1e-10,
+                local, start, tol_feas=cfg.tol_feas, gtol=1e-10,
                 divergence_cap=cfg.divergence_cap)
-        except DivergenceError:
+        except (DivergenceError, NonFiniteError):
             continue
         if not res.converged:
             continue
@@ -444,14 +476,16 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     # with ybar +inf in every component there is no section to probe
     section_stage = (single(section_probe, prob, ybar, cfg.section_budget, 1, cfg)
                      if finite else Stage((), lambda handles: None))
-    stages = run(mfcq_stage(prob, cfg),
+    # the front's one unit, the longest, is submitted first so that the
+    # other children work through the rest meanwhile
+    stages = run(front_stage(prob, ybar, cfg),
+                 mfcq_stage(prob, cfg),
                  single(_verify_ybar_membership, prob, ybar, cfg),
                  section_stage,
                  chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg),
-                 ray_stage(prob, ybar, radii, cfg),
-                 front_stage(prob, ybar, cfg))
-    with stages as (read_mfcq, read_membership, read_section, read_chains,
-                    read_rays, read_front):
+                 ray_stage(prob, ybar, radii, cfg))
+    with stages as (read_front, read_mfcq, read_membership, read_section,
+                    read_chains, read_rays):
         mfcq = read_mfcq()
         membership = read_membership()
 

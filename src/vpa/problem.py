@@ -89,6 +89,14 @@ class Problem:
         jac = v[rows:].reshape(rows, self.n)
         return v[:p], v[p:pl], v[pl:rows], jac[:p], jac[p:pl], jac[pl:]
 
+    def _evaluate_batch(self, X) -> np.ndarray:
+        """The table at each point of X (k x n): row i is the vector that
+        `evaluate(X[i])` splits into its blocks, bit for bit. One
+        matrix-vector product per row, so a row depends on its own point
+        alone, not on the other rows."""
+        monomials = np.multiply.reduce(X[:, None, :] ** self._exps, axis=2)
+        return np.matvec(self._coeffs, monomials)
+
     def hessians(self, x) -> tuple[np.ndarray, ...]:
         """(Hf, Hg, Hh) at x, shapes (p, n, n), (l, n, n) and (m, n, n),
         from one product of the second-partials table.

@@ -1,14 +1,26 @@
 """Shared numerical machinery: the exact simplex/cone least-norm kernel,
 damped Gauss-Newton, and an augmented-Lagrangian local solver.
 
-The augmented Lagrangian's inner minimizer is L-BFGS-B. The private loop
-`_lbfgsb` calls scipy's compiled step `scipy.optimize._lbfgsb.setulb`
-itself instead of going through `scipy.optimize.minimize`. It repeats what
-scipy's wrapper does around that step, so its iterates and evaluation counts
-are bitwise those of `minimize(method="L-BFGS-B", jac=True)` under the same
-options (tests/test_solvers.py checks this against scipy); only the
-wrapper's per-evaluation Python objects are gone. `setulb` is private to
-scipy, so that test is also what flags a scipy release that changes it.
+The augmented Lagrangian runs its starts as lanes (`_auglag_lanes`). Each
+lane is a generator, a PHR state machine that yields every point it needs
+evaluated. One loop serves all lanes round by round: one batched product
+of a compiled `Problem` table evaluates every pending lane's point, and
+array operations over the lane axis give every lane's augmented value and
+gradient from the lanes' stacked multipliers and penalties. So numpy's
+fixed cost per call is paid once per round instead of once per lane. A lane
+sees only its own row of each round, so its result does not depend on its
+batch mates. The front sweep runs all its scalarizations as lanes of one
+call; `minimize_auglag` is the one-lane case, which every other local solve
+uses.
+
+The inner minimizer is L-BFGS-B. The private generator `_lbfgsb` calls
+scipy's compiled step `scipy.optimize._lbfgsb.setulb` itself instead of
+going through `scipy.optimize.minimize`. It repeats what scipy's wrapper
+does around that step, so its iterates and evaluation counts are bitwise
+those of `minimize(method="L-BFGS-B", jac=True)` under the same options
+(tests/test_solvers.py checks this against scipy); only the wrapper's
+per-evaluation Python objects are gone. `setulb` is private to scipy, so
+that test is also what flags a scipy release that changes it.
 
 Everything here is deterministic given its inputs; randomness always enters
 through an explicit numpy Generator.
@@ -23,7 +35,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.optimize._lbfgsb import setulb
 
-from .errors import DivergenceError, KernelError
+from .errors import DivergenceError, KernelError, NonFiniteError, VpaError
 
 _EPS = np.finfo(float).eps
 
@@ -127,10 +139,11 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
     return x, accept(x), float(np.linalg.norm(r))
 
 
-def _lbfgsb(fun, x0, cap, maxiter):
-    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on `fun(x) -> (value,
-    gradient)` from x0, each coordinate boxed to [-cap, cap] when cap is
-    finite; returns the final x.
+def _lbfgsb(x0, cap, maxiter):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) from x0, each coordinate
+    boxed to [-cap, cap] when cap is finite, as a generator: it yields each
+    point it needs evaluated, is sent `(value, gradient)` there, and
+    returns the final x.
 
     Reverse communication with scipy's compiled step, exactly as
     `scipy.optimize.minimize(method="L-BFGS-B", jac=True)` with maxcor=10,
@@ -153,7 +166,8 @@ def _lbfgsb(fun, x0, cap, maxiter):
     task, ln_task, lsave = (np.zeros(k, np.int32) for k in (2, 2, 4))
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
     f, g = 0.0, np.zeros(n)
-    seen, memo, nfev, nit = x.tolist(), fun(x.copy()), 1, 0
+    seen, nfev, nit = x.tolist(), 1, 0
+    memo = yield x.copy()
     while True:
         g = g.astype(np.float64)    # setulb may write g; the memo's stays intact
         setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa,
@@ -161,7 +175,8 @@ def _lbfgsb(fun, x0, cap, maxiter):
         if task[0] == 3:            # wants f and g at x
             now = x.tolist()        # np.array_equal's test, at less cost
             if now != seen:
-                seen, memo, nfev = now, fun(x.copy()), nfev + 1
+                seen, nfev = now, nfev + 1
+                memo = yield x.copy()
             f, g = memo
         elif task[0] == 1:          # finished an iteration
             nit += 1
@@ -189,138 +204,221 @@ class AuglagResult:
         return self.outcome == "converged"
 
 
-def minimize_auglag(evaluate, x0, *,
-                    tol_feas: float = 1e-8, tol_feas_loose: float | None = None,
-                    gtol: float = 1e-9, max_outer: int = 30, rho0: float = 10.0,
-                    rho_growth: float = 10.0, rho_max: float = 1e12,
-                    inner_maxiter: int = 300,
-                    divergence_cap: float | None = None) -> AuglagResult:
-    """Powell-Hestenes-Rockafellar augmented Lagrangian. Each subproblem is
-    minimized by `_lbfgsb` (at most `inner_maxiter` iterations, boxed to
-    `divergence_cap`), whose iterates are bitwise those of scipy's L-BFGS-B.
+def minimize_auglag(local, x0, **options) -> AuglagResult:
+    """Powell-Hestenes-Rockafellar augmented Lagrangian from x0 on a
+    one-objective `Problem`: minimize its f subject to g = 0 and h >= 0.
+    This is the one-lane case of `_auglag_lanes`, whose options it takes.
 
-    `evaluate` is a one-objective `Problem`'s `evaluate`, or a function of
-    the same contract: `evaluate(x)` returns (f, g, h, Jf, Jg, Jh), the
-    objective as a (1,) block, the equalities g = 0 and the inequalities
-    h >= 0, with their Jacobians; empty blocks have shapes (0,) and (0, n).
     Raises DivergenceError once iterates reach `divergence_cap` in infinity
-    norm. Stationarity is judged relative to the local gradient scale,
-    feasibility absolutely.
+    norm, NonFiniteError at a point where a value or Jacobian entry is not
+    finite, and ValueError unless `local` has one objective.
+    """
+    if local.p != 1:
+        raise ValueError(f"minimize_auglag needs one objective, got {local.p}")
+    (result,) = _auglag_lanes(local._evaluate_batch, [x0], (1, local.l, local.m),
+                              **options)
+    if isinstance(result, VpaError):
+        raise result
+    return result
 
-    tol_feas is the target; tol_feas_loose (>= tol_feas) is a fallback
-    acceptance when the budget runs out or the iterate stalls, for
-    constraint sets whose violation cannot reach the target at any bounded
-    penalty (rank-deficient gradients). Callers using the loose tier should
-    re-polish and re-check the result.
 
-    Raises ValueError unless max_outer >= 1 and inner_maxiter >= 1, and on
-    a negative divergence_cap (an empty box).
+def _auglag_lanes(product, starts, sizes, weights=None, *,
+                  tol_feas: float = 1e-8, tol_feas_loose: float | None = None,
+                  gtol: float = 1e-9, max_outer: int = 30, rho0: float = 10.0,
+                  rho_growth: float = 10.0, rho_max: float = 1e12,
+                  inner_maxiter: int = 300,
+                  divergence_cap: float | None = None) -> list:
+    """The augmented Lagrangian from each start, as lanes in lockstep.
+
+    Each lane is a PHR iteration whose subproblems `_lbfgsb` minimizes (at
+    most `inner_maxiter` iterations, boxed to `divergence_cap`). A round
+    collects the point every pending lane asks for, evaluates them all with
+    one `product`, and computes every lane's augmented value and gradient
+    with array operations over the lane axis, from the lanes' stacked
+    multipliers and penalties.
+
+    `product(X)` maps the points X, one per row, to one row each of the
+    table layout of `Problem`: the P objective values, the L equality
+    (g = 0) and M inequality (h >= 0) values, then their Jacobian rows;
+    `sizes` is (P, L, M). A row must depend on its own point alone, so a
+    lane's result does not depend on its batch mates. Lane i minimizes
+    `weights[i] @ f`; without weights P is 1. A lane whose row holds a NaN
+    or an infinity ends with NonFiniteError.
+
+    Stationarity is judged relative to the local gradient scale,
+    feasibility absolutely. tol_feas is the target; tol_feas_loose
+    (>= tol_feas) is a fallback acceptance when the budget runs out or the
+    iterate stalls, for constraint sets whose violation cannot reach the
+    target at any bounded penalty (rank-deficient gradients). Callers using
+    the loose tier should re-polish and re-check the result.
+
+    Returns per start an AuglagResult, or the DivergenceError or
+    NonFiniteError it ended with. Raises ValueError unless max_outer >= 1
+    and inner_maxiter >= 1, and on a negative divergence_cap (an empty box).
     """
     if max_outer < 1 or inner_maxiter < 1:
         raise ValueError("minimize_auglag needs max_outer >= 1 and inner_maxiter"
                          f" >= 1, got {max_outer} and {inner_maxiter}")
     if divergence_cap is not None and divergence_cap < 0:
         raise ValueError(f"divergence_cap must be nonnegative, got {divergence_cap}")
-    x = np.asarray(x0, dtype=float).copy()
+    P, L, M = sizes
+    count = len(starts)
+    W = np.ones((count, 1)) if weights is None else np.asarray(weights, dtype=float)
+    # per lane and per row of the table (objectives, g, h), the multiplier,
+    # penalty and cap of its term in `_augmented`; an objective row has
+    # multiplier -w, penalty 0 and no cap
+    MU = np.hstack([-W, np.zeros((count, L + M))])
+    RHO = np.hstack([np.zeros((count, P)), np.full((count, L + M), rho0)])
+    CAP = np.hstack([np.full((count, P + L), np.inf), np.zeros((count, M))])
+    high = np.r_[np.full(P + L, np.inf), np.zeros(M)]
     loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
-
-    _, e0, c0, _, _, _ = evaluate(x)
-    y = np.zeros(e0.size)
-    nu = np.zeros(c0.size)
-    rho = rho0
-
     bound = divergence_cap if divergence_cap is not None else np.inf
 
-    def violation_of(ev, cv):
-        return max(0.0, float(np.max(np.abs(ev), initial=0.0)),
-                   float(np.max(-cv, initial=0.0)))
+    def phr(x, y, nu, penalty, cap):
+        """One lane: the PHR iteration from x, as a generator. It yields
+        each point the current subproblem's `_lbfgsb` needs and is sent the
+        augmented value and gradient there; after each subproblem it yields
+        the 1-tuple (x,) and is sent x's blocks (f, g, h, Jf, Jg, Jh) and
+        augmented gradient. y and nu are its multipliers, penalty and cap
+        its constraint entries of RHO and CAP, all views it updates in
+        place. Returns the AuglagResult; its stationarity is that of the
+        last subproblem."""
+        rho = rho0
+        prev_violation = math.inf
+        prev_x = None
+        stalled = 0
+        feasible_stall = 0
+        outcome = "iteration_limit"
+        for outer in range(1, max_outer + 1):
+            x = yield from _lbfgsb(x, bound, inner_maxiter)
+            if np.isfinite(bound) and float(np.max(np.abs(x))) >= 0.999 * bound:
+                raise DivergenceError(
+                    f"iterates reached the norm cap {bound:g}; "
+                    "the subproblem is likely unbounded", point=x)
+            fv, ev, cv, Jf, Je, Jc, al_grad = yield (x,)
+            viol = max(0.0, float(np.max(np.abs(ev), initial=0.0)),
+                       float(np.max(-cv, initial=0.0)))
+            gscale = max(1.0, *(float(np.max(np.abs(J), initial=0.0)) for J in (Jf, Je, Jc)))
+            stationarity = float(np.max(np.abs(al_grad))) if al_grad.size else 0.0
 
-    def augmented(point):
-        fv, ev, cv, Jf, Je, Jc = point
-        val, grad = float(fv[0]), Jf[0]     # read-only: _lbfgsb copies it
-        if ev.size:
-            val += float(-y @ ev + 0.5 * rho * ev @ ev)
-            grad = grad + Je.T @ (rho * ev - y)
-        if cv.size:
-            shifted = np.maximum(0.0, nu - rho * cv)
-            val += float((shifted @ shifted - nu @ nu) / (2.0 * rho))
-            grad = grad - Jc.T @ shifted
-        return val, grad
-
-    prev_violation = math.inf
-    prev_x = None
-    stalled = 0
-    feasible_stall = 0
-    outcome = "iteration_limit"
-    for outer in range(1, max_outer + 1):
-        x = _lbfgsb(lambda xv: augmented(evaluate(xv)), x, bound, inner_maxiter)
-        if np.isfinite(bound) and float(np.max(np.abs(x))) >= 0.999 * bound:
-            raise DivergenceError(
-                f"iterates reached the norm cap {bound:g}; "
-                "the subproblem is likely unbounded", point=x)
-        point = evaluate(x)
-        _, ev, cv, Jf, Je, Jc = point
-        viol = violation_of(ev, cv)
-        _, al_grad = augmented(point)
-        gscale = max(1.0, *(float(np.max(np.abs(J), initial=0.0)) for J in (Jf, Je, Jc)))
-        stationarity = float(np.max(np.abs(al_grad))) if al_grad.size else 0.0
-
-        if viol <= tol_feas and stationarity <= gtol * gscale:
-            outcome = "converged"
-            break
-        # stuck at an acceptable point: take it once the iterate stops moving
-        # (covers degenerate geometry where constraint gradients vanish and
-        # no multiplier can cancel the objective gradient)
-        if viol <= loose and prev_x is not None \
-                and float(np.linalg.norm(x - prev_x)) <= 1e-9 * (1.0 + float(np.linalg.norm(x))):
-            feasible_stall += 1
-            if feasible_stall >= 2 and outer >= 3:
+            if viol <= tol_feas and stationarity <= gtol * gscale:
                 outcome = "converged"
                 break
-        else:
-            feasible_stall = 0
-        prev_x = x.copy()
-        # multiplier / penalty updates
-        if viol <= max(tol_feas, 0.25 * prev_violation):
-            y_new = y - rho * ev
-            nu_new = np.maximum(0.0, nu - rho * cv)
-            caps = [np.max(np.abs(y_new), initial=0.0),
-                    np.max(np.abs(nu_new), initial=0.0)]
-            if max(caps) <= 1e8:
-                # degenerate constraints have no bounded multiplier; beyond
-                # the cap the estimates only thrash, so switch to penalty
-                y, nu = y_new, nu_new
-            if viol <= loose and stationarity > gtol * gscale:
-                # acceptable violation but not stationary: tighten the
-                # penalty so the iterate stops orbiting the feasible set
+            # stuck at an acceptable point: take it once the iterate stops
+            # moving (covers degenerate geometry where constraint gradients
+            # vanish and no multiplier can cancel the objective gradient)
+            if viol <= loose and prev_x is not None and float(np.linalg.norm(x - prev_x)) \
+                    <= 1e-9 * (1.0 + float(np.linalg.norm(x))):
+                feasible_stall += 1
+                if feasible_stall >= 2 and outer >= 3:
+                    outcome = "converged"
+                    break
+            else:
+                feasible_stall = 0
+            prev_x = x.copy()
+            # multiplier / penalty updates
+            if viol <= max(tol_feas, 0.25 * prev_violation):
+                y_new = y - rho * ev
+                nu_new = np.maximum(0.0, nu - rho * cv)
+                caps = [np.max(np.abs(y_new), initial=0.0),
+                        np.max(np.abs(nu_new), initial=0.0)]
+                if max(caps) <= 1e8:
+                    # degenerate constraints have no bounded multiplier; beyond
+                    # the cap the estimates only thrash, so switch to penalty
+                    y[:], nu[:] = y_new, nu_new
+                if viol <= loose and stationarity > gtol * gscale:
+                    # acceptable violation but not stationary: tighten the
+                    # penalty so the iterate stops orbiting the feasible set
+                    rho = min(rho * rho_growth, rho_max)
+                stalled = 0
+            else:
                 rho = min(rho * rho_growth, rho_max)
-            stalled = 0
-        else:
-            rho = min(rho * rho_growth, rho_max)
-            if rho >= rho_max and viol > 10.0 * loose:
-                if abs(viol - prev_violation) <= 0.1 * max(viol, prev_violation):
-                    stalled += 1
-                    if stalled >= 2:
-                        outcome = "infeasible"
-                        break
-                else:
-                    stalled = 0
-        prev_violation = viol
+                if rho >= rho_max and viol > 10.0 * loose:
+                    if abs(viol - prev_violation) <= 0.1 * max(viol, prev_violation):
+                        stalled += 1
+                        if stalled >= 2:
+                            outcome = "infeasible"
+                            break
+                    else:
+                        stalled = 0
+            penalty[:] = rho
+            cap[:] = nu / rho
+            prev_violation = viol
 
-    fv, ev, cv, _, _, _ = point
-    if outcome == "iteration_limit" and violation_of(ev, cv) <= loose:
-        outcome = "converged"
-    _, al_grad = augmented(point)
-    return AuglagResult(
-        x=x,
-        objective=float(fv[0]),
-        outcome=outcome,
-        violation=violation_of(ev, cv),
-        stationarity=float(np.max(np.abs(al_grad))) if al_grad.size else 0.0,
-        eq_multipliers=y,
-        ineq_multipliers=nu,
-        outer_iterations=outer,
-    )
+        if outcome == "iteration_limit" and viol <= loose:
+            outcome = "converged"
+        return AuglagResult(
+            x=x,
+            objective=float(fv),
+            outcome=outcome,
+            violation=viol,
+            stationarity=stationarity,
+            eq_multipliers=y.copy(),
+            ineq_multipliers=nu.copy(),
+            outer_iterations=outer,
+        )
+
+    lanes = [phr(np.asarray(x0, dtype=float), MU[i, P:P + L], MU[i, P + L:],
+                 RHO[i, P:], CAP[i, P + L:])
+             for i, x0 in enumerate(starts)]
+    asks = [next(lane) for lane in lanes]
+    results: list = [None] * count
+    pending = list(range(count))
+    while pending:
+        X = np.array([asks[i][0] if type(asks[i]) is tuple else asks[i] for i in pending])
+        V = product(X)
+        finite = np.isfinite(V).all(axis=1)
+        val, grad = _augmented(V, *((MU, RHO, CAP) if len(pending) == count
+                                    else (MU[pending], RHO[pending], CAP[pending])), high)
+        still = []
+        for j, i in enumerate(pending):
+            if not finite[j]:
+                lanes[i].close()
+                results[i] = NonFiniteError("a value or Jacobian entry at a solver "
+                                            "iterate is not finite (overflow)")
+                continue
+            reply = ((*_lane_point(V[j], W[i], sizes), grad[j])
+                     if type(asks[i]) is tuple else (val[j], grad[j]))
+            try:
+                asks[i] = lanes[i].send(reply)
+            except StopIteration as stop:
+                results[i] = stop.value
+                continue
+            except DivergenceError as exc:
+                results[i] = exc
+                continue
+            still.append(i)
+        pending = still
+    return results
+
+
+def _augmented(V, mu, rho, cap, high):
+    """Every lane's augmented value (a list) and gradient from its row of
+    the product V: one term per row c of the table, with the lane's
+    multiplier mu, penalty rho and cap for that row.
+
+    With t = min(rho c - mu, high), that is rho g - y for g and
+    -max(0, nu - rho h) for h (high is +inf for g, 0 for h), the PHR terms
+    -y.g + rho/2 |g|^2 and (|t|^2 - |nu|^2) / (2 rho) both equal
+    (t - mu) . min(c, cap) / 2, where cap is +inf for g and nu / rho for h
+    (exactly where t is clipped to 0). An objective row, with mu = -w,
+    rho = 0 and no cap, gives w.f the same way. The gradient is t . J over
+    all rows.
+    """
+    K = mu.shape[1]
+    VK, jac = V[:, :K], V[:, K:].reshape(len(V), K, -1)
+    t = np.minimum(rho * VK - mu, high)
+    return (0.5 * np.vecdot(t - mu, np.minimum(VK, cap))).tolist(), np.vecmat(t, jac)
+
+
+def _lane_point(v, w, sizes):
+    """One lane's blocks (f, g, h, Jf, Jg, Jh) from its row v of the
+    product and its weights w: f and Jf weight the objective rows, the
+    constraint blocks are views of v."""
+    P, L, M = sizes
+    K = P + L + M
+    jac = v[K:].reshape(K, -1)
+    return w @ v[:P], v[P:P + L], v[P + L:K], w @ jac[:P], jac[P:P + L], jac[P + L:]
 
 
 def simplex_lattice(p: int, points_per_axis: int) -> list[np.ndarray]:

@@ -10,6 +10,7 @@ from vpa.asymptotics import (TraceRecord, TraceResult, classify, flatten_records
                              trace_csv, trace_from_points, trace_tangency)
 from vpa.errors import ClassifyError, ProjectionError, TraceError
 from vpa.polynomials import Polynomial
+from vpa.problem import _slice_residual
 
 INF = (math.inf, math.inf)
 
@@ -142,6 +143,57 @@ class TestKktPolish:
         # on the cut f1 = x3 = -1 and on the sphere
         assert x[2] == pytest.approx(-1.0, abs=1e-12)
         assert np.linalg.norm(x) == pytest.approx(10.0, rel=1e-12)
+
+    def test_a_kkt_point_on_the_slice_skips_the_slice_polish(self, monkeypatch,
+                                                             hyperbola, light_config):
+        prob, ybar = hyperbola
+        weights = np.array([0.0, 1.0])
+        x0 = np.array([9.949376819309283, 0.09950352040113479,
+                       -0.9999999996245782])
+        kkt = asymptotics._kkt_polish(prob, 10.0, weights, ybar, x0, light_config)
+        assert asymptotics._slice_ok(prob, kkt, 10.0, light_config)
+        residual, _ = _slice_residual(prob, 10.0)(kkt)
+        assert np.linalg.norm(residual) <= np.finfo(float).eps
+
+        def refuse(*args):
+            raise AssertionError("the slice polish ran")
+        monkeypatch.setattr(asymptotics, "polish_to_slice", refuse)
+        x = asymptotics._finish_point(prob, 10.0, weights, ybar, x0, light_config)
+        assert x.tobytes() == kkt.tobytes()
+
+    def test_a_point_on_the_slice_above_rounding_level_is_polished(
+            self, monkeypatch, degenerate_line, light_config):
+        # near the degenerate line's axis at r = 1e5 every row is far inside
+        # the value tolerance (g1 ~ 2.6e-14), but the coordinates x1, x2 and
+        # so f = (x2 x3, x1 x3) are still pinned by the slice polish
+        prob, ybar = degenerate_line
+        r = 1e5
+        x1, x2 = 1.6e-9, -8e-11
+        kkt = np.array([x1, x2, np.sqrt(r * r - x1 * x1 - x2 * x2)])
+        assert asymptotics._slice_ok(prob, kkt, r, light_config)
+        assert np.linalg.norm(_slice_residual(prob, r)(kkt)[0]) > np.finfo(float).eps
+        polished = []
+        original = asymptotics.polish_to_slice
+        monkeypatch.setattr(asymptotics, "_kkt_polish", lambda *args, **kwargs: kkt)
+        monkeypatch.setattr(asymptotics, "polish_to_slice",
+                            lambda *args: polished.append(original(*args)) or polished[-1])
+        x = asymptotics._finish_point(prob, r, np.array([0.5, 0.5]), ybar, kkt, light_config)
+        assert len(polished) == 1 and x.tobytes() == polished[0].tobytes()
+        assert np.max(np.abs(x[:2])) < 0.5 * np.max(np.abs(kkt[:2]))
+
+    def test_the_slice_polish_runs_when_the_kkt_polish_fails(self, monkeypatch,
+                                                             hyperbola, light_config):
+        prob, ybar = hyperbola
+        x0 = np.array([9.949376819309283, 0.09950352040113479,
+                       -0.9999999996245782])
+        polished = []
+        original = asymptotics.polish_to_slice
+        monkeypatch.setattr(asymptotics, "_kkt_polish", lambda *args, **kwargs: None)
+        monkeypatch.setattr(asymptotics, "polish_to_slice",
+                            lambda *args: polished.append(original(*args)) or polished[-1])
+        x = asymptotics._finish_point(prob, 10.0, np.array([0.0, 1.0]), ybar, x0,
+                                      light_config)
+        assert len(polished) == 1 and x.tobytes() == polished[0].tobytes()
 
 
 class TestClassify:

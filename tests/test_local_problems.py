@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
-from vpa import Problem, asymptotics, load_problem, pareto, parse
+from vpa import Problem, asymptotics, load_problem, pareto, parse, solvers
 from vpa.config import DEFAULT_CONFIG
 from vpa.errors import ExpansionError
 from vpa.polynomials import Polynomial, _combine
@@ -41,22 +41,26 @@ def points(n, seed):
 
 
 def solver_problem(monkeypatch, module, call) -> Problem:
-    """The Problem whose evaluate `call` hands to minimize_auglag."""
-    def stop(evaluate, x0, **options):
-        raise Captured(evaluate)
+    """The Problem that `call` hands to minimize_auglag."""
+    def stop(local, x0, **options):
+        raise Captured(local)
     monkeypatch.setattr(module, "minimize_auglag", stop)
     with pytest.raises(Captured) as info:
         call()
-    evaluate = info.value.args[0]
-    assert evaluate.__func__ is Problem.evaluate
-    assert evaluate.__self__.p == 1
-    return evaluate.__self__
+    local = info.value.args[0]
+    assert type(local) is Problem
+    assert local.p == 1
+    return local
 
 
 def assert_blocks(local, z, expected):
     """Each block of local.evaluate(z) against the expected one, to 1e-12
     relative to the block's largest entry (at least 1)."""
-    for got, want in zip(local.evaluate(z), expected):
+    assert_each_block(local.evaluate(z), expected)
+
+
+def assert_each_block(blocks, expected):
+    for got, want in zip(blocks, expected, strict=True):
         want = np.asarray(want, dtype=float).reshape(np.shape(got))
         scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -97,13 +101,23 @@ def kkt_problem(monkeypatch, prob, r, weights, ybar, x0):
 @pytest.mark.parametrize("name", FIXTURES)
 class TestLocalBlocks:
     def test_scalarized(self, monkeypatch, name):
+        # a scalarized lane runs on prob's own table and weights its
+        # objective rows
         prob, _ = fixture(name)
         weights = np.random.default_rng(1).dirichlet(np.ones(prob.p))
-        local = solver_problem(monkeypatch, pareto, lambda: pareto.solve_scalarized(
-            prob, weights, np.ones(prob.n)))
+
+        def stop(product, starts, sizes, weights, **options):
+            raise Captured(product, sizes, weights)
+        monkeypatch.setattr(pareto, "_auglag_lanes", stop)
+        with pytest.raises(Captured) as info:
+            pareto.solve_scalarized(prob, weights, np.ones(prob.n))
+        product, sizes, lane_weights = info.value.args
+        assert product.__func__ is Problem._evaluate_batch and product.__self__ is prob
+        assert sizes == (prob.p, prob.l, prob.m)
         for _, x in points(prob.n, 1):
             fv, gv, hv, Jf, Jg, Jh = prob.evaluate(x)
-            assert_blocks(local, x, ([weights @ fv], gv, hv, [weights @ Jf], Jg, Jh))
+            assert_each_block(solvers._lane_point(product(x[None])[0], lane_weights[0], sizes),
+                              (weights @ fv, gv, hv, weights @ Jf, Jg, Jh))
 
     def test_section_epigraph(self, monkeypatch, name):
         prob, ybar = fixture(name)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from vpa import (DEFAULT_CONFIG, Problem, check_feasible, parse, rabier_value,
                  section_probe, solve_front, solve_scalarized)
 from vpa import pareto
-from vpa.errors import ClassifyError, DivergenceError, SectionError, SolveError
+from vpa.errors import (ClassifyError, DivergenceError, NonFiniteError,
+                        SectionError, SolveError)
 from vpa.pareto import (ArchiveEntry, ParetoArchive, existence_verdict,
                         nondominated_filter)
 from vpa.pipeline import Stage
@@ -131,6 +132,81 @@ class TestSolveScalarized:
         prob, _ = motzkin
         x, _ = solve_scalarized(prob, [0.25, 0.75], [3.0, 0.5])
         assert rabier_value(prob, x).value <= DEFAULT_CONFIG.tol_stationary
+
+
+# the front of the benchmark's hyperbola verdict: 6 weights, 3 starts each
+LANE_CONFIG = DEFAULT_CONFIG.replace(weight_grid=3, starts_per_weight=3)
+FIXTURES = ("motzkin", "hyperbola", "degenerate_line")
+
+
+def front_draws(prob, cfg=LANE_CONFIG):
+    return [(w, s) for widx, w in enumerate(pareto._weight_draws(prob.p, cfg))
+            for s in pareto._starts(prob, cfg, widx)]
+
+
+def same_outcome(a, b) -> bool:
+    """Two lanes' outcomes agree bit for bit: the same point and residual,
+    or the same failure with the same message."""
+    (label_a, value_a), (label_b, value_b) = a, b
+    if label_a != label_b:
+        return False
+    if label_a != "ok":
+        return type(value_a) is type(value_b) and str(value_a) == str(value_b)
+    return value_a[0].tobytes() == value_b[0].tobytes() and value_a[1] == value_b[1]
+
+
+class TestFrontLanes:
+    """The front's scalarizations run as lanes of one lockstep augmented
+    Lagrangian; a lane's result must be what its draw gives alone. This
+    rests on each row of the batched table product depending on its own
+    point only (one matrix-vector product per row), which a BLAS could
+    break."""
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_each_lane_equals_its_solve_alone(self, fixture, request):
+        prob, _ = request.getfixturevalue(fixture)
+        draws = front_draws(prob)
+        lanes = pareto._scalarized_lanes(prob, draws, LANE_CONFIG)
+        for (weights, start), lane in zip(draws, lanes, strict=True):
+            try:
+                alone = "ok", solve_scalarized(prob, weights, start, LANE_CONFIG)
+            except (SolveError, DivergenceError) as exc:
+                alone = lane[0], exc
+            assert same_outcome(lane, alone), (weights, start)
+        assert {label for label, _ in lanes} <= {"ok", *pareto._FAILURES}
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_a_lane_does_not_depend_on_its_batch_mates(self, fixture, request):
+        prob, _ = request.getfixturevalue(fixture)
+        draws = front_draws(prob)
+        lanes = pareto._scalarized_lanes(prob, draws, LANE_CONFIG)
+        order = np.random.default_rng(3).permutation(len(draws))
+        for subset in (order, order[: len(draws) // 2], order[::-3]):
+            mixed = pareto._scalarized_lanes(prob, [draws[k] for k in subset], LANE_CONFIG)
+            assert all(same_outcome(lanes[k], lane) for k, lane in zip(subset, mixed))
+
+    def test_an_overflowing_lane_fails_alone(self):
+        # from 10 the first product overflows (10^400); from 0.5, where the
+        # gradient 400 * 0.5^399 is far below any tolerance, the lane stops
+        # at once, as it does alone
+        prob = Problem(n=1, objectives=(parse("x1^400", 1),))
+        draws = [(np.ones(1), np.array([10.0])), (np.ones(1), np.array([0.5]))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lanes = pareto._scalarized_lanes(prob, draws, DEFAULT_CONFIG)
+        assert lanes[0][0] == "non-finite" and isinstance(lanes[0][1], NonFiniteError)
+        alone = pareto._scalarized_lanes(prob, draws[1:], DEFAULT_CONFIG)
+        assert same_outcome(lanes[1], alone[0])
+        assert lanes[1][0] == "ok" and lanes[1][1][0].tolist() == [0.5]
+
+    def test_the_failure_note_counts_each_kind(self):
+        prob = Problem(n=1, objectives=(parse("x1", 1),),
+                       equalities=(parse("x1", 1),),
+                       inequalities=(parse("x1 - 1", 1),))
+        cfg = DEFAULT_CONFIG.replace(weight_grid=2, starts_per_weight=2,
+                                     projection_restarts=1)
+        with pytest.raises(SolveError,
+                           match=r"^all 2 scalarized runs failed \(2 infeasible\)$"):
+            solve_front(prob, (math.inf,), cfg)
 
 
 class TestSolveFront:

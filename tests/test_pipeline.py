@@ -134,7 +134,7 @@ class TestRunner:
     def test_unit_error_reaches_the_caller(self, monkeypatch, hyperbola):
         def broken(*args, **kwargs):
             raise RuntimeError("bug in a unit")
-        monkeypatch.setattr(pareto, "solve_scalarized", broken)
+        monkeypatch.setattr(pareto, "_scalarized_lanes", broken)
         prob, ybar = hyperbola
         for pool in (False, True):
             use_pool(monkeypatch, pool)

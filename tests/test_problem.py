@@ -88,6 +88,22 @@ class TestEvaluate:
                                   prob.evaluate([float(c) for c in point])])
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-12)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(0, 2), st.integers(1, 20))
+    def test_batched_product_rows_are_evaluate(self, seed, n, p, l, m, k):
+        # the front's lanes rest on this: each row of the batched product is
+        # evaluate's vector at that row's point, whatever the other rows
+        rng = np.random.default_rng(seed)
+        prob = Problem(n, *[tuple(random_polynomial(rng, n) for _ in range(c))
+                            for c in (p, l, m)])
+        X = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1, 3, (k, 1))
+        V = prob._evaluate_batch(X)
+        assert V.shape == (k, (p + l + m) * (1 + n))
+        for x, row in zip(X, V):
+            single = np.concatenate([block.ravel() for block in prob.evaluate(x)])
+            assert row.tobytes() == single.tobytes()
+            assert prob._evaluate_batch(x[None])[0].tobytes() == single.tobytes()
+
     def test_empty_blocks(self):
         prob = Problem(2, (parse("x1*x2", 2),))
         f, g, h, Jf, Jg, Jh = prob.evaluate([2.0, 3.0])

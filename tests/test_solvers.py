@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from vpa import Problem, parse, solvers
-from vpa.errors import DivergenceError, KernelError
+from vpa.errors import DivergenceError, KernelError, NonFiniteError
 from vpa.solvers import min_norm_simplex_cone, minimize_auglag
 
 
@@ -106,7 +106,7 @@ class TestGaussNewton:
 
 # min x.x subject to x1 + x2 = 1
 sum_to_one = Problem(2, (parse("x1^2 + x2^2", 2),),
-                     (parse("x1 + x2 - 1", 2),)).evaluate
+                     (parse("x1 + x2 - 1", 2),))
 
 
 class TestMinimizeAuglag:
@@ -120,14 +120,14 @@ class TestMinimizeAuglag:
 
     def test_unsatisfiable_equality_is_infeasible(self):
         prob = Problem(1, (parse("x1^2", 1),), (parse("x1^2 + 1", 1),))
-        res = minimize_auglag(prob.evaluate, np.array([0.5]))
+        res = minimize_auglag(prob, np.array([0.5]))
         assert res.outcome == "infeasible" and not res.converged
         assert res.violation == pytest.approx(1.0)
 
     def test_unbounded_objective_diverges_at_the_cap(self):
         prob = Problem(1, (parse("x1", 1),))
         with pytest.raises(DivergenceError) as info:
-            minimize_auglag(prob.evaluate, np.array([0.0]), divergence_cap=1e3)
+            minimize_auglag(prob, np.array([0.0]), divergence_cap=1e3)
         assert info.value.point.tolist() == [-1e3]
 
     def test_small_outer_budget_hits_the_iteration_limit(self):
@@ -135,6 +135,49 @@ class TestMinimizeAuglag:
         # one subproblem at rho = 10 stops at x1 = x2 = 10/22
         assert res.outcome == "iteration_limit" and res.outer_iterations == 1
         assert res.violation == pytest.approx(1.0 / 11.0)
+
+    def test_overflow_is_a_typed_error(self):
+        # 10^400 overflows; in the table the inf meets the zero coefficients
+        # of the other monomial, so the value and the derivative are NaN
+        prob = Problem(1, (parse("x1^400", 1),))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="not finite"):
+            minimize_auglag(prob, np.array([10.0]))
+
+    def test_needs_one_objective(self):
+        prob = Problem(1, (parse("x1", 1), parse("x1^2", 1)))
+        with pytest.raises(ValueError, match="one objective"):
+            minimize_auglag(prob, np.zeros(1))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 3),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_augmented_terms_are_the_textbook_phr(self, seed, k, p, l, m):
+        # k lanes of random values, Jacobians, weights, multipliers y and
+        # nu >= 0 and penalties rho; the inequality values straddle nu / rho,
+        # so both sides of the clipping at 0 occur
+        rng = np.random.default_rng(seed)
+        n = 3
+        F, G, H = (rng.standard_normal((k, c)) for c in (p, l, m))
+        J = rng.standard_normal((k, p + l + m, n))
+        w = rng.dirichlet(np.ones(p), size=k)
+        y, nu = rng.standard_normal((k, l)), rng.exponential(size=(k, m))
+        rho = 10.0 ** rng.uniform(0, 3, (k, 1))
+        V = np.hstack([F, G, H, J.reshape(k, -1)])
+        mu = np.hstack([-w, y, nu])
+        penalty = np.hstack([np.zeros((k, p)), np.repeat(rho, l + m, axis=1)])
+        cap = np.hstack([np.full((k, p + l), np.inf), nu / rho])
+        high = np.r_[np.full(p + l, np.inf), np.zeros(m)]
+        val, grad = solvers._augmented(V, mu, penalty, cap, high)
+        for i in range(k):
+            r = rho[i, 0]
+            shifted = np.maximum(0.0, nu[i] - r * H[i])
+            want = (w[i] @ F[i] - y[i] @ G[i] + 0.5 * r * G[i] @ G[i]
+                    + (shifted @ shifted - nu[i] @ nu[i]) / (2.0 * r))
+            want_grad = (w[i] @ J[i, :p] + (r * G[i] - y[i]) @ J[i, p:p + l]
+                         - shifted @ J[i, p + l:])
+            scale = 1.0 + np.abs(V[i]).max() * (1.0 + np.abs(mu[i]).max() + r) ** 2
+            assert val[i] == pytest.approx(want, abs=1e-12 * scale)
+            np.testing.assert_allclose(grad[i], want_grad, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("budget", [{"max_outer": 0}, {"inner_maxiter": 0},
                                         {"divergence_cap": -1.0}])
@@ -162,6 +205,17 @@ def smooth_objective(rng, n):
     return fun
 
 
+def drive(steps, fun):
+    """Send the generator `_lbfgsb` fun's (value, gradient) at each point it
+    yields; return the final x it returns."""
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 class TestLbfgsbParity:
     """`_lbfgsb` calls scipy's private compiled step; it must give scipy's
     L-BFGS-B bitwise, so a scipy release that changes `setulb` fails here."""
@@ -175,7 +229,7 @@ class TestLbfgsbParity:
         fun = smooth_objective(rng, n)
         x0 = rng.standard_normal(n) * 4.0
         ours, theirs = [], []
-        x = solvers._lbfgsb(lambda v: ours.append(v) or fun(v), x0, cap, maxiter)
+        x = drive(solvers._lbfgsb(x0, cap, maxiter), lambda v: ours.append(v) or fun(v))
         res = minimize(lambda v: theirs.append(v) or fun(v), x0, jac=True,
                        method="L-BFGS-B",
                        bounds=[(-cap, cap)] * n if np.isfinite(cap) else None,
