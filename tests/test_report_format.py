@@ -67,6 +67,11 @@ class Opaque:
     def __str__(self):
         return self.text
 
+    def __repr__(self):
+        # the parametrized test id is repr(value); the default repr holds
+        # the object's address and would name the case differently per run
+        return f"Opaque({self.text!r})"
+
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1 / 3,
                1.7976931348623157e308, math.nan, math.inf, -math.inf]
