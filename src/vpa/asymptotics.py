@@ -103,7 +103,6 @@ def make_record(prob: Problem, ybar: Sequence[float], x,
     radius = float(np.linalg.norm(x))
     rab = rabier_value(prob, x, cfg).value
     member = tangency_membership(prob, x, cfg).is_member
-    slack = cfg.tol_active + cfg.tol_feas * max(1.0, radius)
     return TraceRecord(
         radius=radius,
         point=tuple(float(t) for t in x),
@@ -111,8 +110,12 @@ def make_record(prob: Problem, ybar: Sequence[float], x,
         rabier=rab,
         scaled_rabier=radius * rab,
         in_tangency=member,
-        below_ybar=below_ybar(fval, ybar, slack),
+        below_ybar=below_ybar(fval, ybar, _ybar_slack(radius, cfg)),
     )
+
+
+def _ybar_slack(radius: float, cfg: RunConfig) -> float:
+    return cfg.tol_active + cfg.tol_feas * max(1.0, radius)
 
 
 def trace_from_points(prob: Problem, ybar: Sequence[float], points,
@@ -147,7 +150,7 @@ def ray_to_trace(prob: Problem, ybar: Sequence[float], ray: RaySample,
         except InfeasiblePointError:
             continue
         result.coverage_radii.append(r)
-        if rec.below_ybar or ybar_all_infinite(ybar):
+        if rec.below_ybar:
             result.records.append(rec)
         else:
             result.filtered_radii.append(r)
@@ -251,7 +254,6 @@ def _collect_chains(handles) -> list[TraceResult]:
 def _trace_chain(prob, ybar, radii, weights, weights_seed, c, cfg) -> TraceResult:
     """Chain c: its fixed weight over the whole schedule, each radius warm
     started from the chain's last point, seeds [weights_seed, ridx, c]."""
-    filtering = not ybar_all_infinite(ybar)
     chain = TraceResult(label=f"pareto-chain-{c:02d}")
     prev = None
     for ridx, r in enumerate(radii):
@@ -268,7 +270,7 @@ def _trace_chain(prob, ybar, radii, weights, weights_seed, c, cfg) -> TraceResul
         rec = make_record(prob, ybar, x, cfg)
         chain.coverage_radii.append(r)
         prev = x
-        if rec.below_ybar or not filtering:
+        if rec.below_ybar:
             chain.records.append(rec)
         else:
             chain.filtered_radii.append(r)
@@ -288,8 +290,7 @@ def _slice_point_ok(prob, x, r, ybar, cfg):
     if not _slice_ok(prob, x, r, cfg):
         return False
     # section cuts must stay satisfied when the trace is filtered to them
-    slack = cfg.tol_active + cfg.tol_feas * max(1.0, r)
-    return below_ybar(prob.f(x), ybar, slack)
+    return below_ybar(prob.f(x), ybar, _ybar_slack(r, cfg))
 
 
 def _finish_point(prob, r, weights, ybar, x, cfg, active_from=None):
@@ -320,21 +321,20 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
     Returns ("point", x) on success, ("empty", None) when every projected
     attempt reports an infeasible slice, ("failed", None) otherwise.
     """
+    guess = None
     if warm is not None and np.linalg.norm(warm) > 1e-12:
         guess = warm * (r / np.linalg.norm(warm))
         x = _finish_point(prob, r, weights, ybar, guess, cfg, active_from=warm)
         if x is not None:
             return "point", x
 
-    attempts = 3
     projected_attempts = 0
     infeasible_votes = 0
-    for attempt in range(attempts):
-        if attempt == 0 and warm is not None and np.linalg.norm(warm) > 1e-12:
-            start, projected = warm * (r / np.linalg.norm(warm)), False
+    for attempt in range(3):
+        if attempt == 0 and guess is not None:
+            start, projected = guess, False
         else:
-            start, projected = _chain_start(prob, r, None, cfg,
-                                            seed=[*seed, attempt])
+            start, projected = _chain_start(prob, r, cfg, seed=[*seed, attempt])
         projected_attempts += int(projected)
         try:
             res = _sphere_subproblem(prob, r, weights, ybar, start, cfg)
@@ -459,11 +459,9 @@ def _newton_stall(res_jac, z0, max_iter=60):
     return z
 
 
-def _chain_start(prob, r, prev, cfg, seed):
+def _chain_start(prob, r, cfg, seed):
     """Seeded start on (or near) the slice; the flag says whether the
     projection actually succeeded."""
-    if prev is not None and np.linalg.norm(prev) > 1e-12:
-        return prev * (r / np.linalg.norm(prev)), False
     try:
         x = project_to_sphere_slice(
             prob, r,

@@ -233,12 +233,12 @@ def _cmd_trace(prob, ybar, point, cfg, outdir):
 
 def _cmd_classify(prob, ybar, point, cfg, outdir):
     radii = cfg.radii()
-    stages = run(pareto.mfcq_stage(prob, cfg),
-                 asymptotics.chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg),
-                 pareto.ray_stage(prob, ybar, radii, cfg))
-    with stages as (read_mfcq, read_chains, read_rays):
-        evidence = read_mfcq()
-        traces = read_chains() + read_rays()
+    stages = run(pareto.ray_stage(prob, ybar, cfg),
+                 asymptotics.chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg))
+    with stages as (read_rays, read_chains):
+        rays = read_rays()
+        evidence = pareto.sample_mfcq_evidence(rays)
+        traces = read_chains() + [ray.trace for ray in rays if ray.trace is not None]
     verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=evidence.holds,
                         schedule=radii)
     return {"mfcq_evidence": evidence, "verdicts": verdicts}

@@ -1,7 +1,9 @@
 """Pareto machinery: nondominated filtering, section-boundedness probing,
 weighted-sum scalarization, front sweeps, and the existence verdict that
 composes constraint-qualification evidence, section evidence, and the
-asymptotic classification.
+asymptotic classification. A command samples its feasible rays once, as
+one pool (`ray_stage`) whose units also make the MFCQ probes, traces and
+section samples that the evidence takes from them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .certificates import mfcq_probe, rabier_value
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, NonFiniteError, RayError,
                      SectionError, SolveError, TraceError, VpaError)
-from .pipeline import Stage, run, single
+from .pipeline import Stage, run
 from .polynomials import _combine, _product
 from .problem import Problem, check_feasible, sample_feasible_ray
 from .solvers import _auglag_lanes, minimize_auglag, simplex_lattice
@@ -261,54 +263,65 @@ def section_probe(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
     Boundedness here is about section values: the report flags an escape
     only when section values keep drifting downward as the sample norms
     grow, i.e. the values themselves escape every candidate bound along a
-    diverging trace. Raises SectionError when no section point is found.
+    diverging trace. The first max(1, budget // 8) rays of the feasible-ray
+    pool and as many seeded descents give the samples, all as units of one
+    `pipeline.run`. Raises SectionError when no section point is found.
     """
+    descents = section_stage(prob, ybar, budget, seed, cfg)
+    rays = ray_stage(prob, ybar, cfg, mfcq=0, traces=0, section=max(1, budget // 8))
+    with run(rays, descents) as (read_rays, read_descents):
+        return _section_report(read_rays(), read_descents(), cfg.radii())
+
+
+def section_stage(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
+                  cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
+    """The max(1, budget // 8) seeded descents of `section_probe`, one unit
+    each; the stage's result is their (points checked, samples) pairs."""
     if not any(math.isfinite(y) for y in ybar):
         raise ValueError("section_probe needs at least one finite ybar component")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    radii = cfg.radii()
-    samples: list[tuple[float, np.ndarray, np.ndarray]] = []
-    checked = 0
-
-    n_rays = max(1, budget // 8)
-    for ray_idx in range(n_rays):
-        try:
-            ray = sample_feasible_ray(prob, radii, seed=seed * 31 + ray_idx, cfg=cfg)
-        except RayError:
-            continue
-        for r, x in ray.points:
-            checked += 1
-            fv = prob.f(x)
-            if below_ybar(fv, ybar, cfg.tol_active):
-                samples.append((float(np.linalg.norm(x)), x, fv))
-
     rng = np.random.default_rng([cfg.seed, 0x5EC, seed])
-    n_descents = max(1, budget // 8)
-    for _ in range(n_descents):
-        start = 2.0 * rng.standard_normal(prob.n)
-        try:
-            res = _section_descent(prob, ybar, start, cfg)
-        except NonFiniteError:
-            continue
-        except DivergenceError as exc:
-            x = exc.point[:prob.n] if exc.point is not None else None
-            if x is not None:
-                fv = prob.f(x)
-                checked += 1
-                if below_ybar(fv, ybar, cfg.tol_active):
-                    samples.append((float(np.linalg.norm(x)), x, fv))
-            continue
-        checked += 1
-        if not res.converged:
-            continue
-        x = res.x[:prob.n]
-        if not check_feasible(prob, x, cfg.tol_feas, cfg.tol_active).feasible:
-            continue
-        fv = prob.f(x)
-        if below_ybar(fv, ybar, cfg.tol_active):
-            samples.append((float(np.linalg.norm(x)), x, fv))
+    starts = [2.0 * rng.standard_normal(prob.n) for _ in range(max(1, budget // 8))]
+    return Stage(tuple((_descent_samples, (prob, ybar, start, cfg)) for start in starts),
+                 lambda handles: [handle.result() for handle in handles])
 
+
+def _descent_samples(prob: Problem, ybar, start, cfg: RunConfig) -> tuple[int, list]:
+    """`_section_samples` of a descent's end point, converged or at the norm
+    cap. A descent that hit the cap left along a direction where the values
+    may escape, so that direction is checked at every radius below, too."""
+    try:
+        res = _section_descent(prob, ybar, start, cfg)
+    except NonFiniteError:
+        return 0, []
+    except DivergenceError as exc:     # its point is where it hit the cap
+        x = exc.point[:prob.n]
+        norm = float(np.linalg.norm(x))
+        return _section_samples(prob, ybar, [x * (r / norm) for r in cfg.radii()
+                                             if r < norm] + [x], cfg)
+    if not res.converged:
+        return 1, []
+    return _section_samples(prob, ybar, [res.x[:prob.n]], cfg)
+
+
+def _section_samples(prob: Problem, ybar, points, cfg: RunConfig) -> tuple[int, list]:
+    """(points checked, (norm, x, f(x)) of each feasible point below ybar)."""
+    out = []
+    for x in points:
+        fv = prob.f(x)
+        if below_ybar(fv, ybar, cfg.tol_active) and \
+                check_feasible(prob, x, cfg.tol_feas, cfg.tol_active).feasible:
+            out.append((float(np.linalg.norm(x)), x, fv))
+    return len(points), out
+
+
+def _section_report(rays: list[PooledRay], descents: list[tuple[int, list]],
+                    radii: Sequence[float]) -> SectionReport:
+    """The section evidence of the pooled rays' and the descents' samples."""
+    parts = [ray.section for ray in rays if ray.section is not None] + descents
+    checked = sum(count for count, _ in parts)
+    samples = [sample for _, found in parts for sample in found]
     if not samples:
         raise SectionError(
             "no section point found; ybar may be outside the reachable image")
@@ -335,32 +348,25 @@ def _detect_value_escape(samples, radii):
     per-decade componentwise minima that keep decreasing through the top of
     the radius schedule."""
     top = max(radii)
-    tiers: dict[int, list[np.ndarray]] = {}
-    for r, _, fv in samples:
-        tiers.setdefault(int(math.floor(math.log10(max(r, 1e-12)))), []).append(fv)
+    tiers: dict[int, list[tuple]] = {}
+    for sample in samples:
+        tiers.setdefault(int(math.floor(math.log10(max(sample[0], 1e-12)))), []).append(sample)
     if len(tiers) < 3:
         return None
     keys = sorted(tiers)
-    mins = [np.array(tiers[k]).min(axis=0) for k in keys]
+    mins = [np.array([fv for _, _, fv in tiers[k]]).min(axis=0) for k in keys]
     drops = 0
     for a, b in zip(mins, mins[1:]):
         if np.any(b < a - 0.5 * np.maximum(1.0, np.abs(a))):
             drops += 1
     last_reaches_top = any(r >= 0.099 * top for r, _, _ in samples)
     if drops >= len(mins) - 1 and last_reaches_top:
-        out = []
-        for k in keys:
-            fvs = tiers[k]
-            idx = int(np.argmin([fv.min() for fv in fvs]))
-            for r, x, fv in samples:
-                if fv is fvs[idx]:
-                    out.append((r, x, fv))
-                    break
-        return out
+        # each decade's sample with the lowest value in any component
+        return [min(tiers[k], key=lambda s: s[2].min()) for k in keys]
     return None
 
 
-# -- existence verdict --------------------------------------------------------------
+# -- the feasible-ray pool ------------------------------------------------------
 
 @dataclass
 class MfcqEvidence:
@@ -369,34 +375,62 @@ class MfcqEvidence:
     failures: list[dict] = field(default_factory=list)
 
 
-def sample_mfcq_evidence(prob: Problem, cfg: RunConfig = DEFAULT_CONFIG,
-                         rays: int = 2) -> MfcqEvidence:
-    """Probe the constraint qualification along sampled feasible rays.
+@dataclass
+class PooledRay:
+    """A sampled ray's MFCQ (points probed, failures), trace and section
+    (points checked, samples), each None where no reader takes it."""
+    mfcq: tuple[int, list[dict]] | None
+    trace: TraceResult | None
+    section: tuple[int, list] | None
+
+
+def ray_stage(prob: Problem, ybar: Sequence[float], cfg: RunConfig = DEFAULT_CONFIG,
+              mfcq: int = 2, traces: int = 2, section: int = 0) -> Stage:
+    """A command's feasible rays, ray k with seed 2000 + k in a unit that
+    also probes MFCQ if k < mfcq, traces it if k < traces and takes its
+    section samples if k < section; the result lists the sampled rays."""
+    return Stage(tuple((_pooled_ray, (prob, ybar, k, k < mfcq, k < traces,
+                                      k < section, cfg))
+                       for k in range(max(mfcq, traces, section))),
+                 lambda handles: [ray for ray in (h.result() for h in handles)
+                                  if ray is not None])
+
+
+def _pooled_ray(prob, ybar, k, mfcq, trace, section, cfg) -> PooledRay | None:
+    """Ray k and what its readers take from it; None if it has no point."""
+    try:
+        ray = sample_feasible_ray(prob, cfg.radii(), 2000 + k, cfg)
+    except RayError:
+        return None
+    failures = []
+    for r, x in ray.points if mfcq else ():
+        report = mfcq_probe(prob, x, cfg)
+        if not report.holds:
+            failures.append({"radius": r, "x": [float(t) for t in x],
+                             "gradient_rank": report.gradient_rank, "margin": report.margin})
+    return PooledRay(
+        mfcq=(len(ray.points), failures) if mfcq else None,
+        trace=ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{k:02d}") if trace else None,
+        section=_section_samples(prob, ybar, [x for _, x in ray.points], cfg)
+        if section else None)
+
+
+def sample_mfcq_evidence(rays: list[PooledRay]) -> MfcqEvidence:
+    """The constraint qualification evidence of the pooled rays probed.
 
     Sampled evidence only: a verdict of True means every probed large-norm
     point passed, not that the qualification is proven.
     """
-    radii = cfg.radii()
-    checked = 0
-    failures = []
-    for ray_idx in range(rays):
-        try:
-            ray = sample_feasible_ray(prob, radii, seed=1000 + ray_idx, cfg=cfg)
-        except RayError:
-            continue
-        for r, x in ray.points:
-            report = mfcq_probe(prob, x, cfg)
-            checked += 1
-            if not report.holds:
-                failures.append({"radius": r, "x": [float(t) for t in x],
-                                 "gradient_rank": report.gradient_rank,
-                                 "margin": report.margin})
+    probed = [ray.mfcq for ray in rays if ray.mfcq is not None]
+    checked = sum(count for count, _ in probed)
     if checked == 0:
         return MfcqEvidence(holds=False, points_checked=0,
                             failures=[{"error": "no feasible points sampled"}])
-    return MfcqEvidence(holds=not failures, points_checked=checked,
-                        failures=failures)
+    failures = [failure for _, found in probed for failure in found]
+    return MfcqEvidence(holds=not failures, points_checked=checked, failures=failures)
 
+
+# -- existence verdict --------------------------------------------------------------
 
 @dataclass
 class ExistenceReport:
@@ -438,29 +472,6 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
     return "unverified"
 
 
-def mfcq_stage(prob: Problem, cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
-    """`sample_mfcq_evidence` as one unit."""
-    return single(sample_mfcq_evidence, prob, cfg)
-
-
-def ray_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
-              cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
-    """The two feasible trace rays, one unit each; the stage's result is the
-    list of their traces, without the rays that could not be sampled."""
-    def traces(handles) -> list[TraceResult]:
-        out = []
-        for ray_idx, handle in enumerate(handles):
-            try:
-                ray = handle.result()
-            except RayError:
-                continue
-            out.append(ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{ray_idx:02d}"))
-        return out
-
-    return Stage(tuple((sample_feasible_ray, (prob, radii, 2000 + ray_idx, cfg))
-                       for ray_idx in range(2)), traces)
-
-
 def existence_verdict(prob: Problem, ybar: Sequence[float],
                       cfg: RunConfig = DEFAULT_CONFIG) -> ExistenceReport:
     """Compose the existence evidence: sampled constraint qualification,
@@ -474,26 +485,27 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     radii = cfg.radii()
     finite = any(math.isfinite(y) for y in ybar)
     # with ybar +inf in every component there is no section to probe
-    section_stage = (single(section_probe, prob, ybar, cfg.section_budget, 1, cfg)
-                     if finite else Stage((), lambda handles: None))
+    section_rays = max(1, cfg.section_budget // 8) if finite else 0
+    descents = (section_stage(prob, ybar, cfg.section_budget, 1, cfg)
+                if finite else Stage((), lambda handles: None))
     # the front's one unit, the longest, is submitted first so that the
     # other children work through the rest meanwhile
     stages = run(front_stage(prob, ybar, cfg),
-                 mfcq_stage(prob, cfg),
-                 single(_verify_ybar_membership, prob, ybar, cfg),
-                 section_stage,
-                 chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg),
-                 ray_stage(prob, ybar, radii, cfg))
-    with stages as (read_front, read_mfcq, read_membership, read_section,
-                    read_chains, read_rays):
-        mfcq = read_mfcq()
+                 ray_stage(prob, ybar, cfg, section=section_rays),
+                 Stage(((_verify_ybar_membership, (prob, ybar, cfg)),),
+                       lambda handles: handles[0].result()),
+                 descents,
+                 chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg))
+    with stages as (read_front, read_rays, read_membership, read_descents,
+                    read_chains):
+        rays = read_rays()
+        mfcq = sample_mfcq_evidence(rays)
         membership = read_membership()
 
         section = None
-        section_bounded = None
         if finite:
             try:
-                section = read_section()
+                section = _section_report(rays, read_descents(), radii)
                 section_bounded = section.bounded_evidence
             except (SectionError, VpaError) as exc:
                 notes.append(f"section probe failed: {exc}")
@@ -508,7 +520,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
             traces.extend(read_chains())
         except TraceError as exc:
             notes.append(f"sphere tracking failed: {exc}")
-        traces.extend(read_rays())
+        traces.extend(ray.trace for ray in rays if ray.trace is not None)
 
         try:
             verdicts = classify(prob, ybar, traces, cfg,

@@ -1,11 +1,11 @@
-"""The evidence runner behind the `trace`, `classify`, `solve` and `verdict`
-commands.
+"""The evidence runner behind the `trace`, `classify`, `section`, `solve`
+and `verdict` commands.
 
 A command splits its evidence into stages, and each stage into independent
-units: one per scalarization of the front sweep, per tangency chain and per
-feasible ray, and one each for the MFCQ evidence, the section probe and the
-ybar-membership search. A unit's inputs, seeds included, are fixed before
-any unit runs, and units share no state. `run` starts every unit of a
+units: one per tangency chain, per pooled feasible ray and per section
+descent, and one each for the front sweep (its scalarizations are lanes)
+and the ybar-membership search. Every unit's inputs, seeds included, are
+fixed before any unit runs, and units share no state. `run` starts every unit of a
 command at once and hands back, per stage, a callable that reads its units'
 results in submission order. A unit's exception is therefore raised where
 the serial code would meet it, and every report is byte-identical whether
@@ -54,16 +54,6 @@ class Stage:
     `result()` returns its unit's value or raises its unit's exception."""
     calls: Sequence[tuple[Callable, tuple]]
     finish: Callable[[list], object]
-
-
-def single(fn: Callable, *args) -> Stage:
-    """A stage of one unit whose value is the stage's result."""
-    return Stage(((fn, args),), _only)
-
-
-def _only(handles):
-    (handle,) = handles
-    return handle.result()
 
 
 class _Deferred:

@@ -39,6 +39,12 @@ from .errors import DivergenceError, KernelError, NonFiniteError, VpaError
 
 _EPS = np.finfo(float).eps
 
+# the augmented Lagrangian's budget (MAX_OUTER subproblems of at most
+# INNER_MAXITER L-BFGS-B iterations) and penalty (RHO0, then times
+# RHO_GROWTH up to RHO_MAX)
+MAX_OUTER, INNER_MAXITER = 30, 300
+RHO0, RHO_GROWTH, RHO_MAX = 10.0, 10.0, 1e12
+
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
@@ -224,14 +230,11 @@ def minimize_auglag(local, x0, **options) -> AuglagResult:
 
 def _auglag_lanes(product, starts, sizes, weights=None, *,
                   tol_feas: float = 1e-8, tol_feas_loose: float | None = None,
-                  gtol: float = 1e-9, max_outer: int = 30, rho0: float = 10.0,
-                  rho_growth: float = 10.0, rho_max: float = 1e12,
-                  inner_maxiter: int = 300,
-                  divergence_cap: float | None = None) -> list:
+                  gtol: float = 1e-9, divergence_cap: float | None = None) -> list:
     """The augmented Lagrangian from each start, as lanes in lockstep.
 
     Each lane is a PHR iteration whose subproblems `_lbfgsb` minimizes (at
-    most `inner_maxiter` iterations, boxed to `divergence_cap`). A round
+    most INNER_MAXITER iterations, boxed to `divergence_cap`). A round
     collects the point every pending lane asks for, evaluates them all with
     one `product`, and computes every lane's augmented value and gradient
     with array operations over the lane axis, from the lanes' stacked
@@ -253,12 +256,9 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
     the loose tier should re-polish and re-check the result.
 
     Returns per start an AuglagResult, or the DivergenceError or
-    NonFiniteError it ended with. Raises ValueError unless max_outer >= 1
-    and inner_maxiter >= 1, and on a negative divergence_cap (an empty box).
+    NonFiniteError it ended with. Raises ValueError on a negative
+    divergence_cap (an empty box).
     """
-    if max_outer < 1 or inner_maxiter < 1:
-        raise ValueError("minimize_auglag needs max_outer >= 1 and inner_maxiter"
-                         f" >= 1, got {max_outer} and {inner_maxiter}")
     if divergence_cap is not None and divergence_cap < 0:
         raise ValueError(f"divergence_cap must be nonnegative, got {divergence_cap}")
     P, L, M = sizes
@@ -268,7 +268,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
     # penalty and cap of its term in `_augmented`; an objective row has
     # multiplier -w, penalty 0 and no cap
     MU = np.hstack([-W, np.zeros((count, L + M))])
-    RHO = np.hstack([np.zeros((count, P)), np.full((count, L + M), rho0)])
+    RHO = np.hstack([np.zeros((count, P)), np.full((count, L + M), RHO0)])
     CAP = np.hstack([np.full((count, P + L), np.inf), np.zeros((count, M))])
     high = np.r_[np.full(P + L, np.inf), np.zeros(M)]
     loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
@@ -283,14 +283,14 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
         its constraint entries of RHO and CAP, all views it updates in
         place. Returns the AuglagResult; its stationarity is that of the
         last subproblem."""
-        rho = rho0
+        rho = RHO0
         prev_violation = math.inf
         prev_x = None
         stalled = 0
         feasible_stall = 0
         outcome = "iteration_limit"
-        for outer in range(1, max_outer + 1):
-            x = yield from _lbfgsb(x, bound, inner_maxiter)
+        for outer in range(1, MAX_OUTER + 1):
+            x = yield from _lbfgsb(x, bound, INNER_MAXITER)
             if np.isfinite(bound) and float(np.max(np.abs(x))) >= 0.999 * bound:
                 raise DivergenceError(
                     f"iterates reached the norm cap {bound:g}; "
@@ -329,11 +329,11 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
                 if viol <= loose and stationarity > gtol * gscale:
                     # acceptable violation but not stationary: tighten the
                     # penalty so the iterate stops orbiting the feasible set
-                    rho = min(rho * rho_growth, rho_max)
+                    rho = min(rho * RHO_GROWTH, RHO_MAX)
                 stalled = 0
             else:
-                rho = min(rho * rho_growth, rho_max)
-                if rho >= rho_max and viol > 10.0 * loose:
+                rho = min(rho * RHO_GROWTH, RHO_MAX)
+                if rho >= RHO_MAX and viol > 10.0 * loose:
                     if abs(viol - prev_violation) <= 0.1 * max(viol, prev_violation):
                         stalled += 1
                         if stalled >= 2:

@@ -16,6 +16,16 @@ LIGHT_CONFIG = DEFAULT_CONFIG.replace(radius_factor=10.0, radius_count=5,
                                       weights_per_radius=4, weight_grid=5,
                                       starts_per_weight=4, section_budget=16)
 
+# the verdict budgets of the benchmark's workloads (perfbench/workloads.py),
+# restated at its schedule and config seed: one tangency chain per verdict,
+# so single in_tangency flags decide three hyperbola conditions
+BENCHMARK_CONFIGS = {
+    fixture: DEFAULT_CONFIG.replace(seed=0, radius_factor=10.0, radius_count=5,
+                                    weights_per_radius=1, weight_grid=grid,
+                                    starts_per_weight=starts, section_budget=8)
+    for fixture, grid, starts in (("motzkin", 2, 2), ("hyperbola", 3, 3),
+                                  ("degenerate_line", 1, 1))}
+
 
 @pytest.fixture(scope="session")
 def motzkin():

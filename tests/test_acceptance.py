@@ -14,15 +14,18 @@ import pytest
 
 from vpa import (DEFAULT_CONFIG, Problem, mfcq_probe, rabier_value,
                  solve_front)
-from vpa.asymptotics import (classify, ray_to_trace, trace_from_points,
-                             trace_tangency)
+from vpa.asymptotics import (CONDITIONS, classify, ray_to_trace,
+                             trace_from_points, trace_tangency)
 from vpa.cli import main as cli_main
 from vpa.errors import VpaError
-from vpa.pareto import nondominated_filter, sample_mfcq_evidence
+from vpa.pareto import (STATUS_GUARANTEED, STATUS_INAPPLICABLE,
+                        existence_verdict, nondominated_filter, ray_stage,
+                        sample_mfcq_evidence)
+from vpa.pipeline import run
 from vpa.polynomials import Polynomial
 from vpa.problem import sample_feasible_ray
 
-from conftest import PROBLEMS, assert_reports_reencode
+from conftest import BENCHMARK_CONFIGS, PROBLEMS, assert_reports_reencode
 from test_pareto import brute_force_filter
 from test_polynomials import central_difference, random_polynomial
 
@@ -121,6 +124,45 @@ def test_criterion_palais_smale_witness(hyperbola):
                    abs(ps.witness.limit[1] - 1.0)) <= 1e-2
 
 
+@pytest.mark.parametrize("budgets", sorted(BENCHMARK_CONFIGS))
+def test_criterion_benchmark_hyperbola_verdict(hyperbola, budgets):
+    """Under every benchmark verdict config, every condition fails along the
+    escape ray (k, 1/k, -1), whose values tend to (-1, 1)."""
+    with criterion(f"benchmark-verdict-hyperbola-{budgets}"):
+        prob, ybar = hyperbola
+        report = existence_verdict(prob, ybar, BENCHMARK_CONFIGS[budgets])
+        assert report.status == STATUS_INAPPLICABLE
+        assert report.failing_hypotheses == ["asymptotic_conditions"]
+        assert [report.verdicts[c].status for c in CONDITIONS] == ["fails_witness"] * 4
+        limit = report.verdicts["palais_smale"].witness.limit
+        assert max(abs(limit[0] + 1.0), abs(limit[1] - 1.0)) <= 1e-2
+
+
+def test_criterion_benchmark_motzkin_verdict(motzkin):
+    """Under its benchmark config, existence is guaranteed, every condition
+    holds and the front holds the known solution (1, 1)."""
+    with criterion("benchmark-verdict-motzkin"):
+        prob, ybar = motzkin
+        report = existence_verdict(prob, ybar, BENCHMARK_CONFIGS["motzkin"])
+        assert report.status == STATUS_GUARANTEED
+        assert [report.verdicts[c].status for c in CONDITIONS] == ["holds_evidence"] * 4
+        assert any(max(abs(e.x[0] - 1.0), abs(e.x[1] - 1.0)) <= 1e-4
+                   for e in report.archive.entries)
+
+
+def test_criterion_benchmark_degenerate_verdict(degenerate_line):
+    """Under its benchmark config, the qualification fails at infinity and
+    the tangency witness (limit 0) separates M-tameness from Palais-Smale."""
+    with criterion("benchmark-verdict-degenerate"):
+        prob, ybar = degenerate_line
+        report = existence_verdict(prob, ybar, BENCHMARK_CONFIGS["degenerate_line"])
+        assert report.failing_hypotheses == ["mfcq_at_infinity_evidence"]
+        mt = report.verdicts["m_tame"]
+        assert mt.status == "fails_witness"
+        assert max(abs(v) for v in mt.witness.limit) <= 1e-3
+        assert report.verdicts["palais_smale"].status == "holds_evidence"
+
+
 def test_criterion_filter_oracle_equivalence():
     """Vectorized nondominated filter equals the pairwise brute force."""
     with criterion("filter-oracle"):
@@ -186,7 +228,8 @@ def _light_evidence(prob, ybar, cfg):
         traces.append(ray_to_trace(prob, ybar, ray, cfg, label="ray-07"))
     except VpaError:
         pass
-    evidence = sample_mfcq_evidence(prob, cfg, rays=1)
+    with run(ray_stage(prob, ybar, cfg, mfcq=1, traces=0)) as (read_rays,):
+        evidence = sample_mfcq_evidence(read_rays())
     return traces, evidence
 
 

@@ -317,8 +317,7 @@ class TestChainStart:
             raise ProjectionError("no convergence")
         monkeypatch.setattr(asymptotics, "project_to_sphere_slice", fail)
         prob, _ = motzkin
-        x, projected = asymptotics._chain_start(prob, 10.0, None, light_config,
-                                                seed=[1, 2])
+        x, projected = asymptotics._chain_start(prob, 10.0, light_config, seed=[1, 2])
         assert not projected
         assert np.linalg.norm(x) == pytest.approx(10.0)
 
@@ -329,4 +328,4 @@ class TestChainStart:
         monkeypatch.setattr(asymptotics, "project_to_sphere_slice", broken)
         prob, _ = motzkin
         with pytest.raises(RuntimeError, match="bug"):
-            asymptotics._chain_start(prob, 10.0, None, light_config, seed=[1, 2])
+            asymptotics._chain_start(prob, 10.0, light_config, seed=[1, 2])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from vpa import (DEFAULT_CONFIG, Problem, check_feasible, parse, rabier_value,
                  section_probe, solve_front, solve_scalarized)
-from vpa import pareto
+from vpa import pareto, pipeline
 from vpa.errors import (ClassifyError, DivergenceError, NonFiniteError,
                         SectionError, SolveError)
 from vpa.pareto import (ArchiveEntry, ParetoArchive, existence_verdict,
                         nondominated_filter)
+from vpa.cli import main
 from vpa.pipeline import Stage
+
+from conftest import BENCHMARK_CONFIGS, LIGHT_CONFIG, PROBLEMS
 
 INF2 = (math.inf, math.inf)
 
@@ -278,6 +282,30 @@ class TestSectionProbe:
         assert radii == sorted(radii)
         assert report.escape_trace[-1].f[0] < report.escape_trace[0].f[0]
 
+    def test_infeasible_diverged_descent_is_no_sample(self, monkeypatch,
+                                                      light_config):
+        # f = x1 (1 - x2) + x2 is 1 on S = {x2 = 1} and unbounded off it:
+        # both descents reach the norm cap off S, and their last points must
+        # not enter the section
+        prob = Problem(n=2, objectives=(parse("x1 - x1*x2 + x2", 2),),
+                       equalities=(parse("x2 - 1", 2),))
+        descent = pareto._section_descent
+        diverged = []
+
+        def recording(*args):
+            try:
+                return descent(*args)
+            except DivergenceError as exc:
+                diverged.append(check_feasible(prob, exc.point[:2]).feasible)
+                raise
+        monkeypatch.setattr(pipeline, "_pool_workers", lambda units: 0)
+        monkeypatch.setattr(pareto, "_section_descent", recording)
+        report = section_probe(prob, (2.0,), 16, seed=1, cfg=light_config)
+        assert diverged == [False, False]
+        assert report.section_values
+        assert all(v == pytest.approx(1.0) for (v,) in report.section_values)
+        assert report.lower_witness[0] == pytest.approx(1.0, abs=1e-5)
+
     def test_unreachable_section_errors(self, motzkin, light_config):
         prob, _ = motzkin
         with pytest.raises(SectionError):
@@ -287,6 +315,57 @@ class TestSectionProbe:
         prob, _ = motzkin
         with pytest.raises(ValueError):
             section_probe(prob, INF2, 8, seed=1, cfg=light_config)
+
+
+class TestRayPool:
+    """One command samples each feasible ray once, whatever reads it."""
+
+    @pytest.fixture()
+    def count_rays(self, monkeypatch):
+        """Run in-process, without the front and the chains, and count the
+        rays sampled."""
+        monkeypatch.setattr(pipeline, "_pool_workers", lambda units: 0)
+        monkeypatch.setattr(pareto, "chain_stage",
+                            lambda *a, **k: Stage((), lambda handles: []))
+        monkeypatch.setattr(pareto, "front_stage",
+                            lambda *a, **k: Stage((), lambda handles: ParetoArchive()))
+        seeds = []
+        sample = pareto.sample_feasible_ray
+
+        def counting(prob, radii, seed, cfg):
+            seeds.append(seed)
+            return sample(prob, radii, seed, cfg)
+        monkeypatch.setattr(pareto, "sample_feasible_ray", counting)
+        return seeds
+
+    @pytest.mark.parametrize("fixture", ["hyperbola", "motzkin"])
+    @pytest.mark.parametrize("cfg, rays", [
+        *((cfg, 2) for cfg in BENCHMARK_CONFIGS.values()),
+        (LIGHT_CONFIG, 2), (DEFAULT_CONFIG, 4)])
+    def test_verdict_with_a_section(self, count_rays, request, fixture, cfg, rays):
+        prob, ybar = request.getfixturevalue(fixture)
+        report = existence_verdict(prob, ybar, cfg)
+        assert count_rays == [2000 + k for k in range(rays)]
+        assert report.section is not None
+        assert [trace.label for trace in report.traces] == ["ray-00", "ray-01"]
+
+    def test_verdict_without_a_section(self, count_rays, degenerate_line):
+        prob, ybar = degenerate_line
+        existence_verdict(prob, ybar, DEFAULT_CONFIG)
+        assert count_rays == [2000, 2001]
+
+    def test_classify(self, count_rays, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(LIGHT_CONFIG.to_dict()))
+        main(["classify", "--problem", str(PROBLEMS / "hyperbola.json"),
+              "--config", str(config), "--out", str(tmp_path / "out")])
+        assert count_rays == [2000, 2001]
+
+    @pytest.mark.parametrize("budget, rays", [(8, 1), (15, 1), (16, 2), (40, 5)])
+    def test_section(self, count_rays, hyperbola, budget, rays):
+        prob, ybar = hyperbola
+        section_probe(prob, ybar, budget, seed=1, cfg=LIGHT_CONFIG)
+        assert count_rays == [2000 + k for k in range(rays)]
 
 
 class TestExistenceVerdict:
