@@ -47,8 +47,7 @@ def ybar_all_infinite(ybar: Sequence[float]) -> bool:
     return all(math.isinf(y) for y in ybar)
 
 
-def below_ybar(fval: Sequence[float], ybar: Sequence[float],
-               slack: float = DEFAULT_CONFIG.tol_active) -> bool:
+def below_ybar(fval: Sequence[float], ybar: Sequence[float], slack: float) -> bool:
     """Componentwise f <= ybar with a small absolute-relative slack."""
     return all(v <= y + slack * max(1.0, abs(y)) if math.isfinite(y) else True
                for v, y in zip(fval, ybar))
@@ -223,8 +222,8 @@ def trace_tangency(prob: Problem, ybar: Sequence[float],
     nothing converges. The chains run as independent units of
     `pipeline.run`.
     """
-    with run(chain_stage(prob, ybar, radii, weights_seed, cfg)) as (chains,):
-        return chains()
+    (chains,) = run(chain_stage(prob, ybar, radii, weights_seed, cfg))
+    return chains()
 
 
 def chain_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
@@ -244,8 +243,7 @@ def chain_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
     return Stage(calls, _collect_chains)
 
 
-def _collect_chains(handles) -> list[TraceResult]:
-    chains = [handle.result() for handle in handles]
+def _collect_chains(chains) -> list[TraceResult]:
     if not any(chain.coverage_radii for chain in chains):
         raise TraceError("no radius converged in any chain")
     return chains

@@ -182,8 +182,8 @@ def solve_front(prob: Problem, ybar: Sequence[float],
     (weight, start) pairs run as lanes of one `_scalarized_lanes` call, one
     unit of `pipeline.run`.
     """
-    with run(front_stage(prob, ybar, cfg)) as (front,):
-        return front()
+    (front,) = run(front_stage(prob, ybar, cfg))
+    return front()
 
 
 def front_stage(prob: Problem, ybar: Sequence[float],
@@ -195,9 +195,8 @@ def front_stage(prob: Problem, ybar: Sequence[float],
              for widx, weights in enumerate(_weight_draws(prob.p, cfg))
              for start in _starts(prob, cfg, widx)]
 
-    def archive(handles) -> ParetoArchive:
-        (handle,) = handles
-        outcomes = handle.result()
+    def archive(values) -> ParetoArchive:
+        (outcomes,) = values
         out = ParetoArchive(mode="pareto")
         for (weights, _), (label, value) in zip(draws, outcomes):
             if label != "ok":
@@ -269,8 +268,8 @@ def section_probe(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
     """
     descents = section_stage(prob, ybar, budget, seed, cfg)
     rays = ray_stage(prob, ybar, cfg, mfcq=0, traces=0, section=max(1, budget // 8))
-    with run(rays, descents) as (read_rays, read_descents):
-        return _section_report(read_rays(), read_descents(), cfg.radii())
+    read_rays, read_descents = run(rays, descents)
+    return _section_report(read_rays(), read_descents(), cfg.radii())
 
 
 def section_stage(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
@@ -284,7 +283,7 @@ def section_stage(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
     rng = np.random.default_rng([cfg.seed, 0x5EC, seed])
     starts = [2.0 * rng.standard_normal(prob.n) for _ in range(max(1, budget // 8))]
     return Stage(tuple((_descent_samples, (prob, ybar, start, cfg)) for start in starts),
-                 lambda handles: [handle.result() for handle in handles])
+                 list)
 
 
 def _descent_samples(prob: Problem, ybar, start, cfg: RunConfig) -> tuple[int, list]:
@@ -392,8 +391,7 @@ def ray_stage(prob: Problem, ybar: Sequence[float], cfg: RunConfig = DEFAULT_CON
     return Stage(tuple((_pooled_ray, (prob, ybar, k, k < mfcq, k < traces,
                                       k < section, cfg))
                        for k in range(max(mfcq, traces, section))),
-                 lambda handles: [ray for ray in (h.result() for h in handles)
-                                  if ray is not None])
+                 lambda rays: [ray for ray in rays if ray is not None])
 
 
 def _pooled_ray(prob, ybar, k, mfcq, trace, section, cfg) -> PooledRay | None:
@@ -478,8 +476,8 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     section boundedness, and the four asymptotic conditions; a front sweep
     is attached as constructive confirmation either way.
 
-    Every stage's units start at once in one `pipeline.run`; the results
-    are read in the order below.
+    Every stage's units run in one `pipeline.run`; the stages are then
+    read in the order below.
     """
     notes = []
     radii = cfg.radii()
@@ -487,53 +485,52 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     # with ybar +inf in every component there is no section to probe
     section_rays = max(1, cfg.section_budget // 8) if finite else 0
     descents = (section_stage(prob, ybar, cfg.section_budget, 1, cfg)
-                if finite else Stage((), lambda handles: None))
+                if finite else Stage((), lambda values: None))
     # the front's one unit, the longest, is submitted first so that the
     # other children work through the rest meanwhile
-    stages = run(front_stage(prob, ybar, cfg),
-                 ray_stage(prob, ybar, cfg, section=section_rays),
-                 Stage(((_verify_ybar_membership, (prob, ybar, cfg)),),
-                       lambda handles: handles[0].result()),
-                 descents,
-                 chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg))
-    with stages as (read_front, read_rays, read_membership, read_descents,
-                    read_chains):
-        rays = read_rays()
-        mfcq = sample_mfcq_evidence(rays)
-        membership = read_membership()
+    stages = (front_stage(prob, ybar, cfg),
+              ray_stage(prob, ybar, cfg, section=section_rays),
+              Stage(((_verify_ybar_membership, (prob, ybar, cfg)),),
+                    lambda values: values[0]),
+              descents,
+              chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg))
+    read_front, read_rays, read_membership, read_descents, read_chains = run(*stages)
+    rays = read_rays()
+    mfcq = sample_mfcq_evidence(rays)
+    membership = read_membership()
 
-        section = None
-        if finite:
-            try:
-                section = _section_report(rays, read_descents(), radii)
-                section_bounded = section.bounded_evidence
-            except (SectionError, VpaError) as exc:
-                notes.append(f"section probe failed: {exc}")
-                section_bounded = False
-        else:
-            notes.append("ybar is +inf in every component; section evidence "
-                         "reduces to classification coverage")
-            section_bounded = True
-
-        traces: list[TraceResult] = []
+    section = None
+    if finite:
         try:
-            traces.extend(read_chains())
-        except TraceError as exc:
-            notes.append(f"sphere tracking failed: {exc}")
-        traces.extend(ray.trace for ray in rays if ray.trace is not None)
+            section = _section_report(rays, read_descents(), radii)
+            section_bounded = section.bounded_evidence
+        except VpaError as exc:
+            notes.append(f"section probe failed: {exc}")
+            section_bounded = False
+    else:
+        notes.append("ybar is +inf in every component; section evidence "
+                     "reduces to classification coverage")
+        section_bounded = True
 
-        try:
-            verdicts = classify(prob, ybar, traces, cfg,
-                                mfcq_holds=mfcq.holds, schedule=radii)
-        except ClassifyError as exc:
-            verdicts = {}
-            notes.append(f"classification failed: {exc}")
+    traces: list[TraceResult] = []
+    try:
+        traces.extend(read_chains())
+    except TraceError as exc:
+        notes.append(f"sphere tracking failed: {exc}")
+    traces.extend(ray.trace for ray in rays if ray.trace is not None)
 
-        try:
-            archive = read_front()
-        except SolveError as exc:
-            archive = ParetoArchive()
-            notes.append(f"front sweep failed: {exc}")
+    try:
+        verdicts = classify(prob, ybar, traces, cfg,
+                            mfcq_holds=mfcq.holds, schedule=radii)
+    except ClassifyError as exc:
+        verdicts = {}
+        notes.append(f"classification failed: {exc}")
+
+    try:
+        archive = read_front()
+    except SolveError as exc:
+        archive = ParetoArchive()
+        notes.append(f"front sweep failed: {exc}")
 
     failing = []
     if not mfcq.holds:

@@ -361,20 +361,18 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<var>x\d+)"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # every match ends where the next begins, and `bad` takes any non-space
+    # character, so only trailing whitespace is left unmatched
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        start = m.start(m.lastgroup)
-        if m.lastgroup == "bad":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "bad":
             ch = m.group("bad")
             if ch == "x":
                 raise ParseError("expected a variable index after 'x'", start)
             raise ParseError(f"unexpected character {ch!r}", start)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), start))
-        pos = m.end()
+        tokens.append((kind, m.group(kind), start))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -197,10 +197,8 @@ def _lbfgsb(x0, cap, maxiter):
 @dataclass
 class AuglagResult:
     x: np.ndarray
-    objective: float
     outcome: str                 # converged | infeasible | iteration_limit
     violation: float
-    stationarity: float
     eq_multipliers: np.ndarray
     ineq_multipliers: np.ndarray
     outer_iterations: int
@@ -281,8 +279,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
         the 1-tuple (x,) and is sent x's blocks (f, g, h, Jf, Jg, Jh) and
         augmented gradient. y and nu are its multipliers, penalty and cap
         its constraint entries of RHO and CAP, all views it updates in
-        place. Returns the AuglagResult; its stationarity is that of the
-        last subproblem."""
+        place. Returns the AuglagResult."""
         rho = RHO0
         prev_violation = math.inf
         prev_x = None
@@ -295,7 +292,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
                 raise DivergenceError(
                     f"iterates reached the norm cap {bound:g}; "
                     "the subproblem is likely unbounded", point=x)
-            fv, ev, cv, Jf, Je, Jc, al_grad = yield (x,)
+            _, ev, cv, Jf, Je, Jc, al_grad = yield (x,)
             viol = max(0.0, float(np.max(np.abs(ev), initial=0.0)),
                        float(np.max(-cv, initial=0.0)))
             gscale = max(1.0, *(float(np.max(np.abs(J), initial=0.0)) for J in (Jf, Je, Jc)))
@@ -349,10 +346,8 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
             outcome = "converged"
         return AuglagResult(
             x=x,
-            objective=float(fv),
             outcome=outcome,
             violation=viol,
-            stationarity=stationarity,
             eq_multipliers=y.copy(),
             ineq_multipliers=nu.copy(),
             outer_iterations=outer,

@@ -228,8 +228,8 @@ def _light_evidence(prob, ybar, cfg):
         traces.append(ray_to_trace(prob, ybar, ray, cfg, label="ray-07"))
     except VpaError:
         pass
-    with run(ray_stage(prob, ybar, cfg, mfcq=1, traces=0)) as (read_rays,):
-        evidence = sample_mfcq_evidence(read_rays())
+    (read_rays,) = run(ray_stage(prob, ybar, cfg, mfcq=1, traces=0))
+    evidence = sample_mfcq_evidence(read_rays())
     return traces, evidence
 
 

@@ -71,10 +71,6 @@ def task_count() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
-def read_all(handles):
-    return [handle.result() for handle in handles]
-
-
 def kill_own_process():
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -91,31 +87,40 @@ def both_paths(monkeypatch, compute):
 class TestRunner:
     def test_forced_pool_runs_units_in_other_processes(self, monkeypatch):
         use_pool(monkeypatch, True)
-        stage = Stage(((os.getpid, ()),) * 3,
-                      lambda handles: [h.result() for h in handles])
-        with deadline(60), pipeline.run(stage) as (pids,):
-            assert os.getpid() not in pids()
+        stage = Stage(((os.getpid, ()),) * 3, list)
+        with deadline(60):
+            (pids,) = pipeline.run(stage)
+        assert os.getpid() not in pids()
 
-    def test_in_process_path_reads_results_in_order(self, monkeypatch):
+    def test_in_process_path_runs_every_unit_before_returning(self, monkeypatch):
         use_pool(monkeypatch, False)
         seen = []
-        stage = Stage(tuple((seen.append, (k,)) for k in range(3)),
-                      lambda handles: [h.result() for h in handles])
-        with pipeline.run(stage) as (read,):
-            assert seen == []
-            read()
-        assert seen == [0, 1, 2]
+
+        def unit(k):
+            seen.append(k)
+            if k == 1:
+                raise ValueError("bug in unit 1")
+            return k
+        first = Stage(tuple((unit, (k,)) for k in range(3)), list)
+        second = Stage(tuple((unit, (k,)) for k in range(3, 5)), list)
+        read_first, read_second = pipeline.run(first, second)
+        # every unit ran once, in submission order, past the one that raised
+        assert seen == [0, 1, 2, 3, 4]
+        assert read_second() == [3, 4]
+        with pytest.raises(ValueError, match="^bug in unit 1$"):
+            read_first()
+        assert seen == [0, 1, 2, 3, 4]
 
     def test_back_to_back_runs_use_the_pool(self):
         if not (sys.platform.startswith("linux")
                 and len(os.sched_getaffinity(0)) > 1
                 and len(os.listdir("/proc/self/task")) == 1):
             pytest.skip("needs Linux, two CPUs and a single-threaded process")
-        stage = Stage(((os.getpid, ()),) * 2,
-                      lambda handles: [h.result() for h in handles])
+        stage = Stage(((os.getpid, ()),) * 2, list)
         for _ in range(20):
-            with deadline(60), pipeline.run(stage) as (pids,):
-                assert os.getpid() not in pids()
+            with deadline(60):
+                (pids,) = pipeline.run(stage)
+            assert os.getpid() not in pids()
 
     def test_no_pool_for_one_unit(self):
         assert pipeline._pool_workers(1) == 0
@@ -162,18 +167,17 @@ class TestForkedChildren:
         use_pool(monkeypatch, True)
 
     def test_a_killed_child_is_an_error_within_the_deadline(self):
-        stage = Stage(((kill_own_process, ()), (time.sleep, (60,))), read_all)
+        stage = Stage(((kill_own_process, ()), (time.sleep, (60,))), list)
         with deadline(30), pytest.raises(RuntimeError, match="killed by SIGKILL") as info:
-            with pipeline.run(stage) as (read,):
-                read()
+            (read,) = pipeline.run(stage)
+            read()
         assert not isinstance(info.value, VpaError)
         assert not has_children()
 
-    def test_leaving_the_block_unread_reaps_every_child(self):
-        stage = Stage(((time.sleep, (60,)),) * 2, read_all)
+    def test_run_returns_with_every_child_reaped_unread(self):
+        stage = Stage(((time.sleep, (0.2,)),) * 2, list)
         with deadline(30):
-            with pipeline.run(stage):
-                assert has_children()
+            pipeline.run(stage)
         assert not has_children()
 
     def test_twenty_thousand_units_each_run_once(self, monkeypatch, tmp_path):
@@ -188,9 +192,10 @@ class TestForkedChildren:
             os.write(fd, b"%d %d\n" % (k, os.getpid()))
             return k
         try:
-            stage = Stage(tuple((unit, (k,)) for k in range(20_000)), read_all)
-            with deadline(120), pipeline.run(stage) as (read,):
-                assert read() == list(range(20_000))
+            stage = Stage(tuple((unit, (k,)) for k in range(20_000)), list)
+            with deadline(120):
+                (read,) = pipeline.run(stage)
+            assert read() == list(range(20_000))
         finally:
             os.close(fd)
         ran = [line.split() for line in log.read_text().splitlines()]
@@ -200,28 +205,30 @@ class TestForkedChildren:
 
     def test_a_one_mebibyte_result_arrives_intact(self):
         blob = bytes(range(256)) * 4096
-        stage = Stage(((bytes, (blob,)), (len, (blob,))), read_all)
-        with deadline(60), pipeline.run(stage) as (read,):
-            assert read() == [blob, 1 << 20]
+        stage = Stage(((bytes, (blob,)), (len, (blob,))), list)
+        with deadline(60):
+            (read,) = pipeline.run(stage)
+        assert read() == [blob, 1 << 20]
 
     def test_the_process_gains_no_thread(self):
         # one entry under single-threaded BLAS; a BLAS pool's threads stay
         # as they are
         before = task_count()
-        stage = Stage(((os.getpid, ()),) * 4, read_all)
-        with deadline(60), pipeline.run(stage) as (pids,):
-            assert task_count() == before
-            assert os.getpid() not in pids()
-            assert task_count() == before
+        stage = Stage(((os.getpid, ()),) * 4, list)
+        with deadline(60):
+            (pids,) = pipeline.run(stage)
+        assert task_count() == before
+        assert os.getpid() not in pids()
         assert task_count() == before
 
     def test_unit_error_chains_the_child_traceback(self):
         def broken():
             raise ValueError("bug in a unit")
-        stage = Stage(((broken, ()), (os.getpid, ())), read_all)
-        with deadline(60), pytest.raises(ValueError, match="^bug in a unit$") as info:
-            with pipeline.run(stage) as (read,):
-                read()
+        stage = Stage(((broken, ()), (os.getpid, ())), list)
+        with deadline(60):
+            (read,) = pipeline.run(stage)
+        with pytest.raises(ValueError, match="^bug in a unit$") as info:
+            read()
         assert "in broken" in str(info.value.__cause__)
 
 
