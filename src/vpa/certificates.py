@@ -7,15 +7,18 @@ is rejected with NonFiniteError. Complementarity is enforced through the
 activity tolerance: an inequality multiplier is free (and nonnegative) only
 for constraints with |h_j(x)| <= tol_active, and pinned to zero otherwise.
 
-Both least-norm certificates run on one exact kernel
+All three certificates run on one exact least-norm kernel
 (`solvers.min_norm_simplex_cone`) after eliminating their free multipliers
-by projection, and normalize their residuals differently:
+or directions by projection, and normalize differently:
 
 - Rabier: tau on the unit simplex, nu in the cone, raw gradients; the value
   is in the units of the objective gradients.
 - Tangency: every gradient column and x scaled to unit length, (tau, nu)
   jointly on the unit simplex; the residual is relative to the gradient
   magnitudes.
+- MFCQ: the raw active inequality gradients projected off the row space
+  of Jg, all on the unit simplex; the nearest point of their convex hull
+  is the max-margin direction, and its norm the Euclidean margin.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InfeasiblePointError
@@ -227,19 +229,23 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
     equality gradients of full rank plus a direction v with <grad g_i, v> = 0
     and <grad h_j, v> > 0 for active j.
 
-    The direction is found by an LP maximizing the worst active margin under
-    a box on v; a second LP picks the sparsest optimal direction so reported
-    witnesses are clean. The margin is re-reported at unit Euclidean norm.
+    With Jg of full rank, such a v exists if and only if the active
+    gradients, projected off the row space of Jg, have a convex hull that
+    misses the origin (Gordan's alternative). One kernel solve with every
+    projected column on the simplex gives the hull's nearest point w; w/|w|
+    is the unit direction of largest worst-case margin, and that margin is
+    |w| (Wolfe, Math. Program. 11, 1976). MFCQ holds iff |w| > tol_margin;
+    the witness is w/|w| and the margin min(Jh_A @ witness), |w| up to
+    rounding. A failed direction test reports |w| as its margin.
     """
     x = prob._point(x)
     report, (_, _, _, _, Jg, Jh) = _require_feasible(prob, x, cfg)
     active = report.active
-    l, n = prob.l, prob.n
+    l = prob.l
 
     if l:
-        sv = np.linalg.svd(Jg, compute_uv=False)
-        floor = cfg.tol_rank * max(1.0, float(np.linalg.norm(x)),
-                                   float(sv[0]) if sv.size else 0.0)
+        _, sv, Vt = np.linalg.svd(Jg, full_matrices=False)
+        floor = cfg.tol_rank * max(1.0, float(np.linalg.norm(x)), float(sv[0]))
         rank = int(np.sum(sv > floor))
     else:
         rank = 0
@@ -251,49 +257,15 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
                           margin=math.inf, active=active)
 
     Jh = Jh[list(active), :]
-    # stage 1: maximize s subject to Jg v = 0, Jh v >= s, |v|_inf <= 1
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-Jh, np.ones((len(active), 1))])
-    b_ub = np.zeros(len(active))
-    A_eq = np.hstack([Jg, np.zeros((l, 1))]) if l else None
-    b_eq = np.zeros(l) if l else None
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    lp = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                 bounds=bounds, method="highs")
-    if not lp.success:
+    H = Jh.T
+    if l:
+        # rank == l here, so the rows of Vt span the row space of Jg
+        H = H - Vt.T @ (Vt @ H)
+    z, size = min_norm_simplex_cone(H, len(active))
+    if size <= cfg.tol_margin:
         return MfcqReport(holds=False, gradient_rank=rank, witness=None,
-                          margin=None, active=active)
-    s_star = float(-lp.fun)
-    if s_star <= cfg.tol_margin:
-        return MfcqReport(holds=False, gradient_rank=rank, witness=None,
-                          margin=float(s_star), active=active)
-
-    v = _sparsest_direction(Jg, Jh, s_star, n)
-    if v is None:
-        v = np.asarray(lp.x[:n], dtype=float)
-    norm = float(np.linalg.norm(v))
-    unit = v / norm
-    margin = float(np.min(Jh @ unit))
+                          margin=size, active=active)
+    unit = (H @ z) / size
     return MfcqReport(holds=True, gradient_rank=rank,
                       witness=tuple(float(t) for t in unit),
-                      margin=margin, active=active)
-
-
-def _sparsest_direction(Jg, Jh, s_star, n):
-    """min ||v||_1 with the stage-1 margin held; v split into v = a - b."""
-    rhs = s_star - 1e-9 * max(1.0, abs(s_star))
-    c = np.ones(2 * n)
-    A_ub = np.hstack([-Jh, Jh])
-    b_ub = np.full(Jh.shape[0], -rhs)
-    A_eq = np.hstack([Jg, -Jg]) if Jg.shape[0] else None
-    b_eq = np.zeros(Jg.shape[0]) if Jg.shape[0] else None
-    bounds = [(0.0, 1.0)] * (2 * n)
-    lp = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                 bounds=bounds, method="highs")
-    if not lp.success:
-        return None
-    v = np.asarray(lp.x[:n]) - np.asarray(lp.x[n:])
-    if np.linalg.norm(v) < 1e-14:
-        return None
-    return v
+                      margin=float(np.min(Jh @ unit)), active=active)

@@ -23,7 +23,7 @@ class RunConfig:
     tol_limit: float = 1e-4         # "-> 0" trend threshold at the largest radius
     tol_cluster: float = 1e-3       # relative f-spread for a convergent tail
     tol_rank: float = 1e-10         # singular-value cutoff relative to the largest
-    tol_margin: float = 1e-9        # LP margin that certifies a strict direction
+    tol_margin: float = 1e-9        # Euclidean margin certifying an MFCQ direction
     # radius schedule r_k = radius_base * radius_factor**k
     radius_base: float = 10.0
     radius_factor: float = 2.0

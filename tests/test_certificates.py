@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from test_polynomials import random_polynomial
 
-from vpa import (DEFAULT_CONFIG, Problem, mfcq_probe, parse, rabier_value,
-                 tangency_membership)
-from vpa.errors import InfeasiblePointError, NonFiniteError
+from vpa import (DEFAULT_CONFIG, Polynomial, Problem, mfcq_probe, parse,
+                 rabier_value, solvers, tangency_membership)
+from vpa.errors import InfeasiblePointError, KernelError, NonFiniteError
 
 
 def unconstrained(expr_list, n):
@@ -175,6 +176,19 @@ class TestNonFiniteData:
             certificate(self.prob, [10.0])
 
 
+class TestKernelFailure:
+    @pytest.mark.parametrize("certificate",
+                             [rabier_value, tangency_membership, mfcq_probe])
+    def test_iteration_limit_is_typed(self, monkeypatch, motzkin, certificate):
+        # at (0, 3) every certificate reaches the kernel (one active inequality)
+        def stalled(A, b, *, maxiter=None):
+            raise RuntimeError("Maximum number of iterations reached.")
+        monkeypatch.setattr(solvers, "nnls", stalled)
+        prob, _ = motzkin
+        with pytest.raises(KernelError):
+            certificate(prob, [0.0, 3.0])
+
+
 class TestMfcqProbe:
     @pytest.mark.parametrize("t", [10.0, 100.0, -4.0])
     def test_degenerate_equalities_fail(self, degenerate_line, t):
@@ -192,10 +206,37 @@ class TestMfcqProbe:
         assert np.allclose(report.witness, [1.0, 0.0], atol=1e-9)
 
     def test_orthant_corner_holds(self, motzkin):
+        # the nearest point of the segment e1--e2 is (1, 1)/2
         prob, _ = motzkin
         report = mfcq_probe(prob, [0.0, 0.0])
         assert report.holds and set(report.active) == {0, 1}
-        assert report.margin > 0
+        assert report.margin == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert np.allclose(report.witness, np.array([1.0, 1.0]) / math.sqrt(2),
+                           atol=1e-12)
+
+    def test_equality_row_space_is_projected_out(self):
+        # projected off span(e3), the gradients (1, 0, 1) and (0, 2, 0) are
+        # e1 and 2 e2, whose segment's nearest point is (4, 2, 0)/5
+        prob = Problem(n=3, objectives=(parse("x1", 3),),
+                       equalities=(parse("x3", 3),),
+                       inequalities=(parse("x1 + x3", 3), parse("2*x2", 3)))
+        report = mfcq_probe(prob, [0.0, 0.0, 0.0])
+        assert report.holds and report.gradient_rank == 1
+        assert report.active == (0, 1)
+        assert report.margin == pytest.approx(2 / math.sqrt(5), abs=1e-12)
+        assert np.allclose(report.witness, np.array([2.0, 1.0, 0.0]) / math.sqrt(5),
+                           atol=1e-12)
+
+    def test_opposing_gradients_fail(self):
+        # gradients e1 and -e1: their hull holds the origin, so no direction
+        # raises both; the kernel's |w| is rounding-level, not exactly 0
+        prob = Problem(n=2, objectives=(parse("x2", 2),),
+                       inequalities=(parse("x1", 2), parse("x2^2 - x1", 2)))
+        report = mfcq_probe(prob, [0.0, 0.0])
+        assert not report.holds
+        assert report.active == (0, 1) and report.gradient_rank == 0
+        assert report.witness is None
+        assert report.margin <= DEFAULT_CONFIG.tol_margin
 
     def test_unconstrained_holds_vacuously(self):
         prob = unconstrained(["x1"], 2)
@@ -216,3 +257,43 @@ class TestMfcqProbe:
                        equalities=(parse("x1 + x2 - 1", 2),))
         report = mfcq_probe(prob, [0.5, 0.5])
         assert report.holds and report.gradient_rank == 1
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_box_margin_linear_program(self, seed):
+        # linear constraints through the origin, every inequality active
+        # there. The box LP max s: Jg v = 0, Jh v >= s, |v|_inf <= 1 is an
+        # independent reference: a unit vector lies in the box and a box
+        # vector has norm <= sqrt(n), so |w| <= s* <= sqrt(n) |w|
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        l, k = int(rng.integers(0, n)), int(rng.integers(1, n + 3))
+        Jg = rng.integers(-3, 4, size=(l, n)).astype(float)
+        Jh = rng.integers(-3, 4, size=(k, n)).astype(float)
+        if l and np.linalg.matrix_rank(Jg) < l:
+            return
+
+        def linear(row):
+            return Polynomial(n, {tuple(int(i == j) for i in range(n)): c
+                                  for j, c in enumerate(row)})
+
+        prob = Problem(n=n, objectives=(parse("x1", n),),
+                       equalities=tuple(linear(row) for row in Jg),
+                       inequalities=tuple(linear(row) for row in Jh))
+        report = mfcq_probe(prob, np.zeros(n))
+        assert report.gradient_rank == l and report.active == tuple(range(k))
+
+        lp = linprog(np.r_[np.zeros(n), -1.0],
+                     A_ub=np.hstack([-Jh, np.ones((k, 1))]), b_ub=np.zeros(k),
+                     A_eq=np.hstack([Jg, np.zeros((l, 1))]) if l else None,
+                     b_eq=np.zeros(l) if l else None,
+                     bounds=[(-1.0, 1.0)] * n + [(None, None)], method="highs")
+        assert lp.success
+        s_star, tol = float(-lp.fun), DEFAULT_CONFIG.tol_margin
+        assert s_star / math.sqrt(n) - 1e-9 <= report.margin <= s_star + 1e-9
+        if not tol < s_star <= math.sqrt(n) * tol:
+            assert report.holds == (s_star > tol)
+        if report.holds:
+            v = np.array(report.witness)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(Jg @ v) <= 1e-9
+            assert np.all(Jh @ v >= report.margin - 1e-9)
