@@ -384,17 +384,22 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
         lam0 = np.linalg.lstsq(jacs0.T, grad0[0], rcond=None)[0]
         k = vals0.size
 
-        def res_jac(z):
+        def residual(z):
             x, lam = z[:n], z[n:]
             _, vals, _, grad, jacs, _ = local.evaluate(x)
+            return np.concatenate([grad[0] - jacs.T @ lam, vals]), jacs
+
+        def jacobian(z, jacs):
+            x, lam = z[:n], z[n:]
             Hf, Hg, _ = local.hessians(x)
             J = np.zeros((n + k, n + k))
             J[:n, :n] = Hf[0] - np.tensordot(lam, Hg, axes=1)
             J[:n, n:] = -jacs.T
             J[n:, :n] = jacs
-            return np.concatenate([grad[0] - jacs.T @ lam, vals]), J
+            return J
 
-        z = _newton_stall(res_jac, np.concatenate([x_start, lam0]), max_iter=60)
+        z = _newton_stall(residual, jacobian, np.concatenate([x_start, lam0]),
+                          max_iter=60)
         return z[:n], z[n:]
 
     # active-set correction: inequality rows whose multiplier comes out
@@ -421,16 +426,21 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
     return x
 
 
-def _newton_stall(res_jac, z0, max_iter=60):
+def _newton_stall(residual, jacobian, z0, max_iter=60):
     """Backtracking Newton on a square system, row-equilibrated and solved by
     least squares: KKT systems on large spheres are too ill-conditioned for
     normal equations. Halves each step until the residual norm decreases and
     stops once `step_below_resolution(step * d, z)` holds (halving cannot
-    make it useful) or after `max_iter` Newton steps."""
+    make it useful) or after `max_iter` Newton steps.
+
+    `residual(z)` returns the residual and the partial results that
+    `jacobian(z, partial)` builds the Jacobian from. Only the points a step
+    starts from get a Jacobian; a rejected trial costs one residual."""
     z = np.asarray(z0, dtype=float).copy()
-    res, J = res_jac(z)
+    res, partial = residual(z)
     phi = float(np.linalg.norm(res))
     for _ in range(max_iter):
+        J = jacobian(z, partial)
         scale = np.maximum(1e-12, np.max(np.abs(J), axis=1))
         try:
             d = np.linalg.lstsq(J / scale[:, None], -res / scale, rcond=None)[0]
@@ -445,10 +455,10 @@ def _newton_stall(res_jac, z0, max_iter=60):
             if step_below_resolution(dz, z):
                 break
             z_new = z + dz
-            res_new, J_new = res_jac(z_new)
+            res_new, partial_new = residual(z_new)
             phi_new = float(np.linalg.norm(res_new))
             if phi_new < phi:
-                z, res, J, phi = z_new, res_new, J_new, phi_new
+                z, res, partial, phi = z_new, res_new, partial_new, phi_new
                 improved = True
                 break
             step *= 0.5

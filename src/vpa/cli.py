@@ -324,7 +324,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"vpa: input error: cannot create output directory {outdir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     envelope = {
         "command": args.command,

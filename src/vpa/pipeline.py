@@ -19,8 +19,9 @@ threads, such as a multi-threaded BLAS pool, can leave the child with locks
 that no thread will release, and it made a verdict several times slower.
 Otherwise, or with one usable CPU, the units run in-process, once each and
 in submission order. Children are forked rather than spawned because a
-spawned child imports numpy and scipy afresh: 0.8-0.9 s on a 2-CPU
-machine, longer than a whole hyperbola verdict of the benchmark.
+spawned child imports numpy, scipy and vpa afresh: 0.35-0.42 s from start
+to join on a 2-vCPU machine, more than twice a whole hyperbola verdict of
+the benchmark (about 0.15 s).
 
 The children are forked after every unit is fixed, so they inherit the
 units and nothing is pickled on the way in. Each child claims the next

@@ -14,13 +14,22 @@ call; `minimize_auglag` is the one-lane case, which every other local solve
 uses.
 
 The inner minimizer is L-BFGS-B. The private generator `_lbfgsb` calls
-scipy's compiled step `scipy.optimize._lbfgsb.setulb` itself instead of
-going through `scipy.optimize.minimize`. It repeats what scipy's wrapper
-does around that step, so its iterates and evaluation counts are bitwise
-those of `minimize(method="L-BFGS-B", jac=True)` under the same options
+scipy's compiled step `setulb` itself instead of going through
+`scipy.optimize.minimize`. It repeats what scipy's wrapper does around that
+step, so its iterates and evaluation counts are bitwise those of
+`minimize(method="L-BFGS-B", jac=True)` under the same options
 (tests/test_solvers.py checks this against scipy); only the wrapper's
-per-evaluation Python objects are gone. `setulb` is private to scipy, so
-that test is also what flags a scipy release that changes it.
+per-evaluation Python objects are gone.
+
+`setulb` and the Lawson-Hanson NNLS behind `min_norm_simplex_cone` are
+vpa's only two compiled kernels from scipy. `_load_kernel` loads their
+modules, `scipy/optimize/_lbfgsb` and `scipy/optimize/_slsqplib`, from
+their extension files, so `scipy.optimize/__init__` and the ~550 modules
+it imports never run: a fresh `import vpa.cli` takes 0.33 s instead of
+1.09 s and peaks at 38 MB resident instead of 79 MB (medians of 5 fresh
+interpreters on a shared 2-vCPU host). Both the step and the file layout
+are private to scipy, so the parity tests in tests/test_solvers.py are
+also what flags a scipy release that changes either.
 
 Everything here is deterministic given its inputs; randomness always enters
 through an explicit numpy Generator.
@@ -28,14 +37,51 @@ through an explicit numpy Generator.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.optimize._lbfgsb import setulb
+import scipy
 
 from .errors import DivergenceError, KernelError, NonFiniteError, VpaError
+
+
+def _load_kernel(name: str):
+    """scipy's compiled module `scipy.optimize.<name>`, loaded from its
+    extension file without importing the `scipy.optimize` package."""
+    fullname = f"scipy.optimize.{name}"
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for suffix in suffixes:
+        path = os.path.join(folder, name + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(
+            f"no compiled kernel {os.path.join(folder, name + suffixes[0])} in "
+            f"scipy {scipy.__version__}; vpa needs scipy >= 1.17", name=fullname)
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    spec = importlib.util.spec_from_file_location(fullname, path, loader=loader)
+    held = sys.modules.get(fullname)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    finally:
+        # a single-phase extension enters itself in sys.modules; leave that
+        # entry as it was, so a later `import scipy.optimize` loads its own
+        if held is None:
+            sys.modules.pop(fullname, None)
+        else:
+            sys.modules[fullname] = held
+    return module
+
+
+_setulb = _load_kernel("_lbfgsb").setulb
+_nnls = _load_kernel("_slsqplib").nnls     # (A, b, maxiter) -> (x, rnorm, info)
 
 _EPS = np.finfo(float).eps
 
@@ -71,11 +117,12 @@ def min_norm_simplex_cone(M: np.ndarray, k: int) -> tuple[np.ndarray, float]:
         z = np.zeros(d)
         z[:k] = 1.0 / k
         return z, 0.0
-    A = np.vstack([M, np.r_[np.full(k, w), np.zeros(d - k)]])
-    try:
-        u, _ = nnls(A, np.r_[np.zeros(n), w], maxiter=10 * d)
-    except RuntimeError as exc:
-        raise KernelError(f"NNLS hit its iteration limit on a {n}x{d} system") from exc
+    # refuse infs and NaNs as scipy.optimize.nnls does; b's one nonzero
+    # entry, w, is in A's last row
+    A = np.asarray_chkfinite(np.vstack([M, np.r_[np.full(k, w), np.zeros(d - k)]]))
+    u, _, info = _nnls(A, np.r_[np.zeros(n), w], 10 * d)
+    if info == 3:
+        raise KernelError(f"NNLS hit its iteration limit on a {n}x{d} system")
     z = u / float(np.sum(u[:k]))
     return z, float(np.linalg.norm(M @ z))
 
@@ -175,8 +222,8 @@ def _lbfgsb(x0, cap, maxiter):
     seen, nfev, nit = x.tolist(), 1, 0
     memo = yield x.copy()
     while True:
-        g = g.astype(np.float64)    # setulb may write g; the memo's stays intact
-        setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa,
+        g = g.astype(np.float64)    # _setulb may write g; the memo's stays intact
+        _setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa,
                task, lsave, isave, dsave, maxls, ln_task)
         if task[0] == 3:            # wants f and g at x
             now = x.tolist()        # np.array_equal's test, at less cost

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import LIGHT_CONFIG
+from test_acceptance import SCHEDULE_CONFIG
 from vpa import Problem, asymptotics, make_record, pipeline
 from vpa.asymptotics import (TraceRecord, TraceResult, classify, flatten_records,
                              trace_csv, trace_from_points, trace_tangency)
@@ -130,10 +132,12 @@ class TestKktPolish:
         # at z + step*d == z makes 31 evaluations here
         calls = []
 
-        def counted(self, x, _hessians=Problem.hessians):
-            calls.append(1)      # one per Newton residual evaluation
-            return _hessians(self, x)
-        monkeypatch.setattr(Problem, "hessians", counted)
+        def counted(residual, jacobian, z0, max_iter, _newton=asymptotics._newton_stall):
+            def count(z):
+                calls.append(1)  # one per Newton residual evaluation
+                return residual(z)
+            return _newton(count, jacobian, z0, max_iter)
+        monkeypatch.setattr(asymptotics, "_newton_stall", counted)
         prob, ybar = hyperbola
         x0 = np.array([9.949376819309283, 0.09950352040113479,
                        -0.9999999996245782])
@@ -194,6 +198,70 @@ class TestKktPolish:
         x = asymptotics._finish_point(prob, 10.0, np.array([0.0, 1.0]), ybar, x0,
                                       light_config)
         assert len(polished) == 1 and x.tobytes() == polished[0].tobytes()
+
+
+    @pytest.mark.parametrize("config", ["light", "acceptance"])
+    @pytest.mark.parametrize("name", ["degenerate_line", "hyperbola"])
+    def test_jacobians_only_where_a_step_starts(self, monkeypatch, request, name,
+                                                config):
+        # the chains' records are those of a polish that builds the Jacobian
+        # at every trial point too, from fewer Hessians
+        prob, ybar = request.getfixturevalue(name)
+        cfg = {"light": LIGHT_CONFIG, "acceptance": SCHEDULE_CONFIG}[config]
+        monkeypatch.setattr(pipeline, "_pool_workers", lambda units: 0)
+        hessians = []
+
+        def counted(self, x, _hessians=Problem.hessians):
+            hessians.append(1)
+            return _hessians(self, x)
+        monkeypatch.setattr(Problem, "hessians", counted)
+        runs = []
+        for newton in (asymptotics._newton_stall, newton_with_every_jacobian):
+            monkeypatch.setattr(asymptotics, "_newton_stall", newton)
+            hessians.clear()
+            traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg)
+            records = [(np.array(rec.point).tobytes(), np.float64(rec.rabier).tobytes(),
+                        rec.in_tangency) for trace in traces for rec in trace.records]
+            runs.append((records, len(hessians)))
+        (records, lazy), (reference, eager) = runs
+        assert records and records == reference
+        assert lazy < eager
+
+
+def newton_with_every_jacobian(residual, jacobian, z0, max_iter=60):
+    """`_newton_stall` with each trial point's Jacobian built alongside its
+    residual, kept if the trial is accepted."""
+    def res_jac(z):
+        res, partial = residual(z)
+        return res, jacobian(z, partial)
+    z = np.asarray(z0, dtype=float).copy()
+    res, J = res_jac(z)
+    phi = float(np.linalg.norm(res))
+    for _ in range(max_iter):
+        scale = np.maximum(1e-12, np.max(np.abs(J), axis=1))
+        try:
+            d = np.linalg.lstsq(J / scale[:, None], -res / scale, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(d)):
+            break
+        step = 1.0
+        improved = False
+        for _ in range(25):
+            dz = step * d
+            if asymptotics.step_below_resolution(dz, z):
+                break
+            z_new = z + dz
+            res_new, J_new = res_jac(z_new)
+            phi_new = float(np.linalg.norm(res_new))
+            if phi_new < phi:
+                z, res, J, phi = z_new, res_new, J_new, phi_new
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return z
 
 
 class TestClassify:

@@ -181,9 +181,9 @@ class TestKernelFailure:
                              [rabier_value, tangency_membership, mfcq_probe])
     def test_iteration_limit_is_typed(self, monkeypatch, motzkin, certificate):
         # at (0, 3) every certificate reaches the kernel (one active inequality)
-        def stalled(A, b, *, maxiter=None):
-            raise RuntimeError("Maximum number of iterations reached.")
-        monkeypatch.setattr(solvers, "nnls", stalled)
+        def stalled(A, b, maxiter):
+            return np.zeros(A.shape[1]), 0.0, 3     # info 3: iteration limit
+        monkeypatch.setattr(solvers, "_nnls", stalled)
         prob, _ = motzkin
         with pytest.raises(KernelError):
             certificate(prob, [0.0, 3.0])

@@ -275,6 +275,17 @@ class TestInputValidation:
                     "--config", cfg, "--at", "1,1",
                     "--out", tmp_path / "out"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
+    def test_unusable_output_directory_is_input_error(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken.joinpath(*below)
+        rc = run(["eval", "--problem", PROBLEMS / "motzkin.json", "--at", "1,1",
+                  "--out", out])
+        assert rc == EXIT_INPUT
+        assert f"input error: cannot create output directory {out}: " in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
     def test_ybar_override(self, tmp_path):
         out = tmp_path / "out"
         rc = run(["eval", "--problem", PROBLEMS / "motzkin.json",

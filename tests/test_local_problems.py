@@ -79,7 +79,7 @@ def sphere_blocks(prob, r, weights, ybar, x, scale):
 
 def kkt_problem(monkeypatch, prob, r, weights, ybar, x0):
     """The first local Problem of `_kkt_polish` with every row active, and
-    the Newton residual built on it."""
+    the Newton residual and Jacobian built on it."""
     made = []
     build = Problem.local.__func__
 
@@ -87,15 +87,15 @@ def kkt_problem(monkeypatch, prob, r, weights, ybar, x0):
         made.append(build(cls, *rows))
         return made[-1]
 
-    def stop(res_jac, z0, max_iter):
-        raise Captured(res_jac)
+    def stop(residual, jacobian, z0, max_iter):
+        raise Captured(residual, jacobian)
     monkeypatch.setattr(Problem, "local", classmethod(local))
     monkeypatch.setattr(asymptotics, "_newton_stall", stop)
     with pytest.raises(Captured) as info:
         asymptotics._kkt_polish(prob, r, weights, ybar, x0, DEFAULT_CONFIG,
                                 active_from=-np.ones(prob.n))
     assert len(made) == 1 and made[0].m == 0
-    return made[0], info.value.args[0]
+    return made[0], *info.value.args
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -179,11 +179,12 @@ def test_kkt_lagrangian_hessian_matches_sympy(monkeypatch, name):
     rng = np.random.default_rng(7)
     weights = rng.dirichlet(np.ones(prob.p))
     for r, x0 in list(points(prob.n, 7))[:2]:
-        local, res_jac = kkt_problem(monkeypatch, prob, r, weights, ybar, x0)
+        local, residual, jacobian = kkt_problem(monkeypatch, prob, r, weights, ybar, x0)
         n, k = prob.n, local.l
         lam = rng.standard_normal(k)
         x = x0 * (1.0 + 1e-3 * rng.standard_normal(prob.n))
-        _, J = res_jac(np.r_[x, lam])
+        z = np.r_[x, lam]
+        J = jacobian(z, residual(z)[1])
         scale = 1.0 + float(np.max(np.abs(weights @ prob.jac_f(x0))))
         # the rows in the polish's order: g, the sphere, h, the cuts
         q = lambda v: sympy.Rational(float(v))

@@ -1,9 +1,17 @@
+import importlib.machinery
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
+import vpa
 from vpa import Problem, parse, solvers
 from vpa.errors import DivergenceError, KernelError, NonFiniteError
 from vpa.solvers import min_norm_simplex_cone, minimize_auglag
@@ -53,11 +61,40 @@ class TestMinNormSimplexCone:
         assert z == pytest.approx([0.75, 0.25]) and value <= 1e-15
 
     def test_iteration_limit_is_typed(self, monkeypatch):
-        def stalled(A, b, *, maxiter=None):
-            raise RuntimeError("Maximum number of iterations reached.")
-        monkeypatch.setattr(solvers, "nnls", stalled)
+        def stalled(A, b, maxiter):
+            return np.zeros(A.shape[1]), 0.0, 3     # info 3: iteration limit
+        monkeypatch.setattr(solvers, "_nnls", stalled)
         with pytest.raises(KernelError):
             min_norm_simplex_cone(np.eye(2), 1)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 6),
+           st.data(), st.sampled_from(["plain", "zero", "duplicate", "rank"]))
+    def test_nnls_is_scipys_bitwise(self, seed, n, d, data, shape):
+        # the NNLS loaded from its extension file is the routine behind
+        # scipy.optimize.nnls, so a scipy release that moves or changes it
+        # fails here
+        k = data.draw(st.integers(1, d))
+        M = random_matrix(np.random.default_rng(seed), n, d, shape)
+        calls, kernel = [], solvers._nnls
+
+        def spy(A, b, maxiter):
+            calls.append((A.copy(), b.copy(), maxiter, *kernel(A, b, maxiter)))
+            return calls[-1][3:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_nnls", spy)
+            min_norm_simplex_cone(M, k)
+        for A, b, maxiter, x, rnorm, info in calls:
+            want_x, want_rnorm = nnls(A, b, maxiter=maxiter)
+            assert info == 1
+            assert np.array_equal(x, want_x) and rnorm == want_rnorm
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2])      # on the simplex, in the cone
+    def test_non_finite_input_is_refused(self, bad, column):
+        M = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 3.0]])
+        M[1, column] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            min_norm_simplex_cone(M, 2)
 
 
 class TestGaussNewton:
@@ -215,6 +252,23 @@ def drive(steps, fun):
         return stop.value
 
 
+def assert_lbfgsb_parity(seed, n, cap, maxiter):
+    """`_lbfgsb` and scipy's L-BFGS-B take the same iterates, evaluate the
+    same points and end at the same x, bitwise."""
+    rng = np.random.default_rng(seed)
+    fun = smooth_objective(rng, n)
+    x0 = rng.standard_normal(n) * 4.0
+    ours, theirs = [], []
+    x = drive(solvers._lbfgsb(x0, cap, maxiter), lambda v: ours.append(v) or fun(v))
+    res = minimize(lambda v: theirs.append(v) or fun(v), x0, jac=True,
+                   method="L-BFGS-B",
+                   bounds=[(-cap, cap)] * n if np.isfinite(cap) else None,
+                   options={"maxiter": maxiter, "ftol": 1e-16, "gtol": 1e-12})
+    assert np.array_equal(x, res.x)
+    assert len(ours) == len(theirs)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
 class TestLbfgsbParity:
     """`_lbfgsb` calls scipy's private compiled step; it must give scipy's
     L-BFGS-B bitwise, so a scipy release that changes `setulb` fails here."""
@@ -224,15 +278,39 @@ class TestLbfgsbParity:
     @example(0, 2, np.inf, 300)     # needs more than 10 line-search steps
     @example(9, 2, 3.0, 300)        # ends in a failed line search
     def test_same_iterates_and_evaluations_as_scipy(self, seed, n, cap, maxiter):
-        rng = np.random.default_rng(seed)
-        fun = smooth_objective(rng, n)
-        x0 = rng.standard_normal(n) * 4.0
-        ours, theirs = [], []
-        x = drive(solvers._lbfgsb(x0, cap, maxiter), lambda v: ours.append(v) or fun(v))
-        res = minimize(lambda v: theirs.append(v) or fun(v), x0, jac=True,
-                       method="L-BFGS-B",
-                       bounds=[(-cap, cap)] * n if np.isfinite(cap) else None,
-                       options={"maxiter": maxiter, "ftol": 1e-16, "gtol": 1e-12})
-        assert np.array_equal(x, res.x)
-        assert len(ours) == len(theirs)
-        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert_lbfgsb_parity(seed, n, cap, maxiter)
+
+
+# run in a fresh interpreter: vpa loads its two scipy kernels from their
+# files, so importing it leaves scipy.optimize unimported; either import
+# order then gives scipy's own L-BFGS-B and vpa's the same iterates
+FRESH_IMPORT = """
+import sys
+order = sys.argv[1]
+if order == "scipy-first":
+    import scipy.optimize
+import vpa.cli
+if order == "vpa-first":
+    assert "scipy.optimize" not in sys.modules, sorted(sys.modules)
+    import scipy.optimize
+assert scipy.optimize._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+import numpy as np
+from test_solvers import assert_lbfgsb_parity
+assert_lbfgsb_parity(0, 2, np.inf, 300)
+"""
+
+
+def test_missing_kernel_file_names_the_file_and_the_scipy_version():
+    with pytest.raises(ImportError) as info:
+        solvers._load_kernel("_no_such_kernel")
+    message = str(info.value)
+    assert "_no_such_kernel" + importlib.machinery.EXTENSION_SUFFIXES[0] in message
+    assert f"scipy {scipy.__version__}" in message and "scipy >= 1.17" in message
+
+
+@pytest.mark.parametrize("order", ["vpa-first", "scipy-first"])
+def test_fresh_import_leaves_scipy_optimize_out(order):
+    path = [pathlib.Path(vpa.__file__).parents[1], pathlib.Path(__file__).parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    subprocess.run([sys.executable, "-c", FRESH_IMPORT, order], env=env, check=True,
+                   timeout=120)
