@@ -9,10 +9,19 @@ ascending lexicographic order of the exponent tuples, which makes every
 downstream computation reproducible.  Instances hold their terms only and
 are immutable.
 
+The parser is a recursive descent over a token list whose rules return
+canonical term maps: a sum is merged term by term into one map, dropping a
+coefficient at or below ``COEFF_EPS`` at each merge, and sorted once; a
+product or power with a one-term operand adds exponents instead of
+merging. Expressions with more than ``MAX_VARS`` variables, and products
+or powers that may form more than ``MAX_TERMS`` terms or exceed degree
+``MAX_DEGREE``, are refused before anything is built.
+
 The numeric work happens elsewhere: `Problem` compiles the term maps of all
-its polynomials and of their partials (computed here by `_partial`) into
-monomial tables. `Polynomial.evaluate`, `gradient` and `hessian_at` are
-plain reference implementations that those tables are tested against.
+its polynomials and their partials into monomial tables, term by term by
+the one derivative rule here (`_partials`). `Polynomial.evaluate`,
+`gradient` and `hessian_at` are plain reference implementations that those
+tables are tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +42,12 @@ MAX_TERMS = 100_000
 # the highest degree one product or power may reach; a monomial of degree
 # 1024 or more already overflows float64 at |x| = 2 (the fixtures: <= 6)
 MAX_DEGREE = 1000
+# the most variables a problem or expression may have. Every atom forms an
+# n-tuple, and Problem.hessians compiles a dense table of (polynomials) * n^2
+# rows: at n = 100 two n-term cubic objectives load in 9 ms and the first
+# Hessian call takes 22 ms and 15 MB, at n = 150 it takes 52 MB, growing as
+# n^3 (the fixtures: n <= 3)
+MAX_VARS = 100
 
 
 class Polynomial:
@@ -228,8 +243,14 @@ def _partial(a: dict, var: int) -> dict:
     """Partial derivative in x_{var+1} (0-based `var`). Decrementing one
     exponent keeps distinct keys distinct and in order, and multiplying by
     it cannot shrink a coefficient, so the result is canonical as it is."""
-    return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
-            for e, c in a.items() if e[var]}
+    return {key: coeff for i, key, coeff in _partials(a) if i == var}
+
+
+def _partials(a: dict) -> list:
+    """The derivative rule: (i, exponents, coefficient) of the partial in
+    x_{i+1} of each term of `a`, for each i where it is not zero."""
+    return [(i, e[:i] + (k - 1,) + e[i + 1:], c * k)
+            for e, c in a.items() for i, k in enumerate(e) if k]
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -278,6 +299,18 @@ def _combine(pairs) -> dict:
 def _pow(a: dict, k: int, num_vars: int) -> dict:
     degree = _degree(a)
     _check_degree(k * degree)
+    if len(a) == 1:
+        # the square-and-multiply below, with the one term's coefficient
+        # alone: `_mul`'s one-term path keeps _kept(c1 * c2) and adds the
+        # exponents, so the key is k * e
+        (e, c), = a.items()
+        coeff, base, j = 1.0, c, k
+        while j:
+            if j & 1:
+                coeff = _kept(coeff * base)
+            base = _kept(base * base) if j > 1 else base
+            j >>= 1
+        return {tuple([k * ei for ei in e]): coeff} if coeff else {}
     if len(a) > 1:
         # at most the multisets of k terms, and at most the monomials of
         # degree k * degree in num_vars variables (the second bound is
@@ -349,119 +382,137 @@ def _format_term(exps: tuple, coeff: float) -> str:
 #
 # expr   := term (('+'|'-') term)*
 # term   := signed ('*' signed)*
-# signed := ('+'|'-')* power
-# power  := atom ('^' INT)*
+# signed := ('+'|'-')* atom ('^' INT)*
 # atom   := NUMBER | VAR | '(' expr ')'
 #
 # Variables are x1..xn; exponents are bare nonnegative integer literals.
 # Implicit multiplication is rejected (two atoms must be joined by '*').
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<var>x\d+)"
-                       r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|(x\d+)|([-+*^()])|(\S))")
+# token kinds: the index of the group that matched, and 0 for the end
+_END, _NUM, _VAR, _OP, _BAD = range(5)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # every match ends where the next begins, and `bad` takes any non-space
-    # character, so only trailing whitespace is left unmatched
+def _tokenize(text: str) -> list[tuple[int, str, int]]:
+    # every match ends where the next begins, and the last group takes any
+    # non-space character, so only trailing whitespace is left unmatched
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "bad":
-            ch = m.group("bad")
-            if ch == "x":
-                raise ParseError("expected a variable index after 'x'", start)
-            raise ParseError(f"unexpected character {ch!r}", start)
-        tokens.append((kind, m.group(kind), start))
-    tokens.append(("end", "", len(text)))
+        kind = m.lastindex
+        if kind == _BAD:
+            if m[kind] == "x":
+                raise ParseError("expected a variable index after 'x'", m.start(kind))
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append((_END, "", len(text)))
     return tokens
 
 
 class _Parser:
     """Recursive descent over the token list; every rule returns a canonical
-    term map."""
+    term map. An operator is told by its token's value alone: no number,
+    variable or end token has the value of one."""
 
     def __init__(self, text: str, num_vars: int):
-        self.text = text
         self.num_vars = num_vars
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
     def parse(self) -> dict:
-        kind, _, pos = self.peek()
-        if kind == "end":
+        kind, _, pos = self.tokens[0]
+        if kind == _END:
             raise ParseError("empty expression", pos)
         result = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
+        kind, value, pos = self.tokens[self.i]
+        if kind != _END:
             raise ParseError(f"unexpected token {value!r}", pos)
         return result
 
     def expr(self) -> dict:
+        """A sum, merged term by term into one map under the `_kept` rule,
+        then sorted once: the map `_add` would give after each term."""
         result = self.term()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                result = _at(pos, _add, result, rhs if value == "+" else _neg(rhs))
-            else:
-                return result
+        tokens = self.tokens
+        _, op, pos = tokens[self.i]
+        if op != "+" and op != "-":
+            return result
+        terms = dict(result)
+        while op == "+" or op == "-":
+            self.i += 1
+            rhs = self.term()
+            plus = op == "+"
+            try:
+                for e, c in rhs.items():
+                    held = terms.get(e, 0.0)
+                    c = _kept(held + c if plus else held - c)
+                    if c:
+                        terms[e] = c
+                    else:
+                        terms.pop(e, None)
+            except ExpansionError as exc:
+                raise ExpansionError(str(exc), pos) from None
+            _, op, pos = tokens[self.i]
+        return dict(sorted(terms.items()))
 
     def term(self) -> dict:
         result = self.signed()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                result = _at(pos, _mul, result, self.signed())
-            else:
-                return result
+        tokens = self.tokens
+        _, op, pos = tokens[self.i]
+        while op == "*":
+            self.i += 1
+            result = _at(pos, _mul, result, self.signed())
+            _, op, pos = tokens[self.i]
+        return result
 
     def signed(self) -> dict:
-        sign = 1.0
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                if value == "-":
-                    sign = -sign
-            else:
-                break
-        p = self.power()
-        return p if sign > 0 else _neg(p)
-
-    def power(self) -> dict:
-        result = self.atom()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                result = _at(pos, _pow, result, self.exponent(pos), self.num_vars)
-            else:
-                return result
+        """Signs, an atom (a number, a variable or a parenthesized sum), then
+        its powers; the signs apply to the power."""
+        tokens = self.tokens
+        negative = False
+        kind, value, pos = tokens[self.i]
+        while value == "+" or value == "-":
+            negative ^= value == "-"
+            self.i += 1
+            kind, value, pos = tokens[self.i]
+        self.i += 1
+        n = self.num_vars
+        if kind == _NUM:
+            coeff = float(value)
+            if math.isinf(coeff):
+                raise ParseError("number overflows to infinity", pos)
+            result = {(0,) * n: coeff} if _kept(coeff) else {}
+        elif kind == _VAR:
+            digits = value[1:].lstrip("0") or "0"
+            if digits == "0":
+                raise ParseError("variable index 0 is invalid (variables are x1..xn)", pos)
+            if _above(digits, n):
+                raise ParseError(
+                    f"variable index {_shown(digits)} exceeds num_vars={n}", pos)
+            index = int(digits)
+            result = {(0,) * (index - 1) + (1,) + (0,) * (n - index): 1.0}
+        elif value == "(":
+            result = self.expr()
+            _, value, pos = tokens[self.i]
+            if value != ")":
+                raise ParseError("expected ')'", pos)
+            self.i += 1
+        else:
+            raise ParseError(f"expected a number, variable, or '(' but found {value!r}"
+                             if value else "unexpected end of expression", pos)
+        _, op, pos = tokens[self.i]
+        while op == "^":
+            self.i += 1
+            result = _at(pos, _pow, result, self.exponent(pos), n)
+            _, op, pos = tokens[self.i]
+        return _neg(result) if negative else result
 
     def exponent(self, caret: int) -> int:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
+        kind, value, pos = self.tokens[self.i]
+        if value == "-":
             raise ParseError("negative exponent", pos)
-        if kind != "num":
+        if kind != _NUM:
             raise ParseError("expected an integer exponent after '^'", pos)
-        self.advance()
+        self.i += 1
         if "." in value:
             raise ParseError("fractional exponent", pos)
         digits = value.lstrip("0") or "0"
@@ -470,30 +521,6 @@ class _Parser:
                                  f"{_shown(digits)} is more than the limit of "
                                  f"{MAX_DEGREE}", caret)
         return int(digits)
-
-    def atom(self) -> dict:
-        kind, value, pos = self.advance()
-        n = self.num_vars
-        if kind == "num":
-            coeff = float(value)
-            if math.isinf(coeff):
-                raise ParseError("number overflows to infinity", pos)
-            return {(0,) * n: coeff} if _kept(coeff) else {}
-        if kind == "var":
-            digits = value[1:].lstrip("0") or "0"
-            if digits == "0":
-                raise ParseError("variable index 0 is invalid (variables are x1..xn)", pos)
-            if _above(digits, n):
-                raise ParseError(
-                    f"variable index {_shown(digits)} exceeds num_vars={n}", pos)
-            index = int(digits)
-            return {(0,) * (index - 1) + (1,) + (0,) * (n - index): 1.0}
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"expected a number, variable, or '(' but found {value!r}"
-                         if value else "unexpected end of expression", pos)
 
 
 def _above(digits: str, limit: int) -> bool:
@@ -527,4 +554,11 @@ def parse(text: str, num_vars: int) -> Polynomial:
     """
     if num_vars < 1:
         raise ValueError("num_vars must be a positive integer")
-    return Polynomial._from_terms(num_vars, _Parser(text, num_vars).parse())
+    if num_vars > MAX_VARS:
+        raise ValueError(f"num_vars={num_vars} is more than the limit of {MAX_VARS}")
+    try:
+        terms = _Parser(text, num_vars).parse()
+    except RecursionError:
+        # each nested parenthesis takes three frames of the descent
+        raise ParseError("parentheses nest too deeply") from None
+    return Polynomial._from_terms(num_vars, terms)

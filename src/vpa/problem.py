@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, NonFiniteError,
                      ProblemValidationError, ProjectionError, RayError)
-from .polynomials import Polynomial, _partial, parse
+from .polynomials import MAX_VARS, Polynomial, _partials, parse
 from .solvers import gauss_newton, random_unit_vector
 
 
@@ -46,9 +46,7 @@ class Problem:
         # len(polys) + k*n + i its partial in x_{i+1}
         self.maps = tuple(tuple(poly._terms for poly in block) for block in
                           (self.objectives, self.equalities, self.inequalities))
-        rows = [poly._terms for poly in polys]
-        self._exps, self._coeffs = _compile(
-            rows + [_partial(a, i) for a in rows for i in range(self.n)], self.n)
+        self._exps, self._coeffs = _first_table([poly._terms for poly in polys], self.n)
         self._cuts = (self.p, self.p + self.l, len(polys))
         self._second = None
 
@@ -108,9 +106,7 @@ class Problem:
         x = self._point(x)
         n = self.n
         if self._second is None:
-            self._second = _compile(
-                [_partial(_partial(a, i), j) for block in self.maps for a in block
-                 for i in range(n) for j in range(n)], n)
+            self._second = _second_table([a for block in self.maps for a in block], n)
         exps, coeffs = self._second
         hess = (coeffs @ np.multiply.reduce(x ** exps, axis=1)).reshape(-1, n, n)
         p, pl, _ = self._cuts
@@ -135,17 +131,48 @@ class Problem:
         return self.evaluate(x)[5]
 
 
-def _compile(maps, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent matrix E (monomials x n) and coefficient matrix C, row k of
-    C holding the term map maps[k], so that C @ prod(x ** E, axis=1) stacks
-    their values. Monomials are in ascending lexicographic order."""
-    monomials = sorted({exps for terms in maps for exps in terms})
+def _first_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table of the term maps `rows` and of their first partials, row
+    len(rows) + k*n + i the partial of rows[k] in x_{i+1}: one pass over the
+    rows' terms and their partials (`_partials`)."""
+    entries = []
+    first = len(rows)
+    for k, terms in enumerate(rows):
+        for e, c in terms.items():
+            entries.append((k, e, c))
+        for i, key, coeff in _partials(terms):
+            entries.append((first + i, key, coeff))
+        first += n
+    return _compile(entries, first, n)
+
+
+def _second_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table of the second partials of the term maps `rows`, row
+    (k*n + i)*n + j the partial of rows[k] in x_{i+1}, then in x_{j+1}."""
+    entries = []
+    for k, terms in enumerate(rows):
+        firsts = [{} for _ in range(n)]
+        for i, key, coeff in _partials(terms):
+            firsts[i][key] = coeff
+        for i, partial in enumerate(firsts):
+            row = (k * n + i) * n
+            for j, key, coeff in _partials(partial):
+                entries.append((row + j, key, coeff))
+    return _compile(entries, len(rows) * n * n, n)
+
+
+def _compile(entries, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrix E (monomials x n, float64) and coefficient matrix C
+    (rows x monomials) from (row, exponents, coefficient) entries, at most
+    one per row and monomial, so that C @ prod(x ** E, axis=1) stacks the
+    rows' values. Monomials are in ascending lexicographic order. E is
+    stored as float64, the type `power` casts an integer exponent to."""
+    monomials = sorted({exps for _, exps, _ in entries})
     column = {exps: j for j, exps in enumerate(monomials)}
-    coeffs = np.zeros((len(maps), len(monomials)))
-    for row, terms in enumerate(maps):
-        for exps, coeff in terms.items():
-            coeffs[row, column[exps]] = coeff
-    return np.array(monomials, dtype=np.int64).reshape(-1, n), coeffs
+    coeffs = np.zeros((rows, len(monomials)))
+    for row, exps, coeff in entries:
+        coeffs[row, column[exps]] = coeff
+    return np.array(monomials, dtype=float).reshape(-1, n), coeffs
 
 
 @dataclass(frozen=True)
@@ -319,24 +346,31 @@ def problem_from_dict(data: dict) -> tuple[Problem, tuple[float, ...] | None]:
     """Build (Problem, ybar) from the JSON problem-file schema.
 
     Schema: {"n": int, "objectives": [expr...], "equalities": [expr...],
-    "inequalities": [expr...], "ybar": [number or "+inf", ...]}. The ybar
-    entry is optional; its numbers must be finite.
+    "inequalities": [expr...], "ybar": [number or "+inf", ...]}. `n` is a
+    JSON integer from 1 to MAX_VARS, checked before anything of length n is
+    built; a boolean, a fraction or a string is refused, not read as an
+    integer. The ybar entry is optional; its numbers must be finite.
     """
     if not isinstance(data, dict):
         raise ProblemValidationError("problem file must be a JSON object")
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ProblemValidationError("problem file needs an integer field 'n'") from None
+    if "n" not in data:
+        raise ProblemValidationError("problem file needs an integer field 'n'")
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ProblemValidationError(
+            f"problem file needs an integer field 'n', got {n!r}")
     if n < 1:
         raise ProblemValidationError(f"problem file has n={n}, needs n >= 1")
+    if n > MAX_VARS:
+        raise ProblemValidationError(
+            f"problem file has more than {MAX_VARS} variables, the limit")
     objectives = data.get("objectives")
     if not objectives:
         raise ProblemValidationError("problem file needs a nonempty 'objectives' list")
 
     def parse_all(key):
         exprs = data.get(key, [])
-        if not isinstance(exprs, list):
+        if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
             raise ProblemValidationError(f"'{key}' must be a list of expression strings")
         return tuple(parse(expr, n) for expr in exprs)
 
@@ -352,19 +386,32 @@ def problem_from_dict(data: dict) -> tuple[Problem, tuple[float, ...] | None]:
 
 def parse_ybar(entries, p: int) -> tuple[float, ...]:
     """Entries are finite numbers or the token "+inf" (componentwise upper
-    bounds); NaN and -inf are refused with ProblemValidationError."""
+    bounds), as a list or as one comma-separated string; NaN, -inf, a
+    boolean and a number that overflows to infinity are refused with
+    ProblemValidationError."""
     if isinstance(entries, str):
         entries = [tok.strip() for tok in entries.split(",")]
+    elif not isinstance(entries, (list, tuple)):
+        raise ProblemValidationError(
+            f"ybar must be a list of numbers or '+inf', got {entries!r}")
     out = []
     for entry in entries:
         try:
+            if isinstance(entry, bool):
+                raise TypeError("a boolean is no number")
             value = float(entry)   # also reads "+inf" and "inf", any case
         except (TypeError, ValueError):
             raise ProblemValidationError(
                 f"ybar entry {entry!r} is neither a number nor '+inf'") from None
+        except OverflowError:      # an integer beyond the range of a double
+            value = math.inf
         if math.isnan(value) or value == -math.inf:
             raise ProblemValidationError(
                 f"ybar entry {entry!r} is NaN or -inf; ybar takes finite "
+                f"numbers or '+inf'")
+        if value == math.inf and not _infinity_token(entry):
+            raise ProblemValidationError(
+                f"ybar entry {entry!r} overflows to infinity; ybar takes finite "
                 f"numbers or '+inf'")
         out.append(value)
     if len(out) != p:
@@ -373,10 +420,25 @@ def parse_ybar(entries, p: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _infinity_token(entry) -> bool:
+    """Whether a ybar entry spells infinity, as "+inf" or "inf" (any case),
+    rather than being a number too large for a double."""
+    return isinstance(entry, str) and entry.strip().lower().lstrip("+") in ("inf", "infinity")
+
+
 def load_problem(path) -> tuple[Problem, tuple[float, ...] | None]:
-    text = Path(path).read_text()
+    """Read a problem file: UTF-8 JSON (JSON's encoding) in the schema of
+    `problem_from_dict`. Bytes that are not UTF-8 and text that is not JSON
+    are refused with ProblemValidationError."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemValidationError(
+            f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of more than 4300 digits
         raise ProblemValidationError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ProblemValidationError(f"invalid JSON in {path}: nested too deeply") from None
     return problem_from_dict(data)

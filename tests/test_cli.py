@@ -8,6 +8,7 @@ import stat
 import pytest
 
 from conftest import assert_reports_reencode
+from test_problem import MALFORMED
 from vpa.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_OPERATION, PARSER, main
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -154,6 +155,18 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("vpa: input error: bad problem file")
         assert "position" in err or n == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_problem_file_is_input_error(self, tmp_path, capsys, name):
+        content, reason = MALFORMED[name]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(["eval", "--problem", bad, "--at", "1", "--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"vpa: input error: bad problem file {bad}: ")
+        assert reason in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("fixture, ybar", [

@@ -209,6 +209,37 @@ def test_parse_matches_sympy_and_polynomial_operators(case):
     built = build(lambda k: Polynomial.constant(n, k),
                   lambda i: Polynomial.variable(n, i))
     assert built == parsed
+    # reports print the terms in this order
+    assert list(parsed.terms.items()) == list(built.terms.items())
+
+
+class TestSums:
+    def test_a_partial_sum_at_or_below_the_threshold_is_dropped(self):
+        # 3e-15 - 2.5e-15 = 5e-16 is dropped before 1.1e-15 is added; a sum
+        # merged without that drop would give 1.6e-15
+        text = "0.000000000000003*x2 - 0.0000000000000025*x2 + 0.0000000000000011*x2"
+        assert list(parse(text, 2).terms.items()) == [((0, 1), 1.1e-15)]
+
+    def test_an_overflowing_sum_is_refused_at_its_operator(self):
+        big = "1" + "0" * 308
+        with pytest.raises(ExpansionError, match="overflows to infinity") as info:
+            parse(f"{big}*x1 + {big}*x1", 1)
+        assert info.value.position == 313
+
+
+class TestVariableLimit:
+    def test_the_limit_is_accepted(self):
+        n = polynomials.MAX_VARS
+        assert parse(f"x{n}", n).terms == {(0,) * (n - 1) + (1,): 1.0}
+
+    def test_above_the_limit_is_refused(self):
+        with pytest.raises(ValueError, match="limit"):
+            parse("x1", polynomials.MAX_VARS + 1)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nest too deeply"):
+        parse("(" * 2000 + "x1" + ")" * 2000, 1)
 
 
 class TestEvaluate:

@@ -12,13 +12,39 @@ from test_polynomials import random_polynomial
 from vpa import (DEFAULT_CONFIG, Problem, check_feasible, load_problem,
                  parse, problem_from_dict, project_to_sphere_slice,
                  sample_feasible_ray)
-from vpa.errors import (DimensionMismatchError, ProblemValidationError,
+from vpa.errors import (DimensionMismatchError, ParseError, ProblemValidationError,
                         ProjectionError, RayError)
-from vpa.polynomials import Polynomial
+from vpa.polynomials import MAX_VARS, Polynomial, _combine, _partial
 from vpa.problem import _slice_ok, parse_ybar, polish_to_slice
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 FIXTURES = ("motzkin", "hyperbola", "degenerate_line")
+
+
+# problem files that are input errors: the bytes and a part of the reason
+MALFORMED = {
+    "utf16-bom": (b'\xff\xfe{"n": 1, "objectives": ["x1"]}', "not UTF-8"),
+    "objective-number": (b'{"n": 1, "objectives": [5]}', "expression strings"),
+    "inequality-null": (b'{"n": 1, "objectives": ["x1"], "inequalities": [null]}',
+                        "expression strings"),
+    "ybar-number": (b'{"n": 1, "objectives": ["x1"], "ybar": 5}', "ybar must be a list"),
+    "n-overflows": (b'{"n": 1e400, "objectives": ["x1"]}', "integer field 'n', got inf"),
+    "n-boolean": (b'{"n": true, "objectives": ["x1"]}', "integer field 'n', got True"),
+    "n-fraction": (b'{"n": 2.7, "objectives": ["x1"]}', "integer field 'n', got 2.7"),
+    "n-string": (b'{"n": "2", "objectives": ["x1"]}', "integer field 'n', got '2'"),
+    "n-above-limit": (json.dumps({"n": MAX_VARS + 1, "objectives": ["x1"]}).encode(),
+                      f"more than {MAX_VARS} variables"),
+    "n-too-long-for-int": (b'{"n": 1' + b"0" * 5000 + b', "objectives": ["x1"]}',
+                           "invalid JSON"),
+    "ybar-overflows": (b'{"n": 1, "objectives": ["x1"], "ybar": [1e999]}',
+                       "overflows to infinity"),
+    "ybar-integer-overflows": (b'{"n": 1, "objectives": ["x1"], "ybar": [1' + b"0" * 400
+                               + b']}', "overflows to infinity"),
+    "ybar-boolean": (b'{"n": 1, "objectives": ["x1"], "ybar": [true]}', "neither a number"),
+    "nested-json": (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+    "nested-parentheses": (json.dumps({"n": 1, "objectives": ["(" * 2000 + "x1" + ")" * 2000]})
+                           .encode(), "nest too deeply"),
+}
 
 
 def empty_feasible_problem():
@@ -110,6 +136,63 @@ class TestEvaluate:
         assert f.tolist() == [6.0] and Jf.tolist() == [[3.0, 2.0]]
         assert g.shape == h.shape == (0,)
         assert Jg.shape == Jh.shape == (0, 2)
+
+
+def per_map_table(maps, n):
+    """The table compiled map by map: row k holds maps[k], monomials in
+    ascending lexicographic order, integer exponents."""
+    monomials = sorted({exps for terms in maps for exps in terms})
+    column = {exps: j for j, exps in enumerate(monomials)}
+    coeffs = np.zeros((len(maps), len(monomials)))
+    for row, terms in enumerate(maps):
+        for exps, coeff in terms.items():
+            coeffs[row, column[exps]] = coeff
+    return np.array(monomials, dtype=np.int64).reshape(-1, n), coeffs
+
+
+def assert_same_table(table, maps, n):
+    exps, coeffs = table
+    ref_exps, ref_coeffs = per_map_table(maps, n)
+    assert exps.dtype == np.float64 and np.array_equal(exps, ref_exps)
+    assert coeffs.shape == ref_coeffs.shape and coeffs.tobytes() == ref_coeffs.tobytes()
+
+
+def assert_tables_are_per_map(prob):
+    """Both tables, compiled from the rows' terms in one pass each, are the
+    tables of the rows and of their `_partial` maps, bit for bit; and the
+    float64 exponents give the bits the integer ones give."""
+    rows = [a for block in prob.maps for a in block]
+    n = prob.n
+    assert_same_table((prob._exps, prob._coeffs),
+                      rows + [_partial(a, i) for a in rows for i in range(n)], n)
+    x = np.linspace(-1.7, 2.3, n)
+    prob.hessians(x)
+    assert_same_table(prob._second, [_partial(_partial(a, i), j) for a in rows
+                                     for i in range(n) for j in range(n)], n)
+    for exps, coeffs in ((prob._exps, prob._coeffs), prob._second):
+        as_int = coeffs @ np.multiply.reduce(x ** exps.astype(np.int64), axis=1)
+        assert (coeffs @ np.multiply.reduce(x ** exps, axis=1)).tobytes() == as_int.tobytes()
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        assert_tables_are_per_map(load_problem(PROBLEMS / f"{name}.json")[0])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_random_problems(self, seed, n, p, l, m):
+        rng = np.random.default_rng(seed)
+        assert_tables_are_per_map(Problem(n, *[tuple(random_polynomial(rng, n)
+                                                     for _ in range(k)) for k in (p, l, m)]))
+
+    def test_local_problem_keeps_raw_coefficients(self):
+        # a raw combination keeps a coefficient that cancels to zero, and its
+        # keys in the order they were first met
+        a, b = parse("x1^2*x2 + x2^3", 2).terms, parse("x1^2*x2 - x1", 2).terms
+        objective = _combine(((1.0, a), (-1.0, b)))
+        assert 0.0 in objective.values()
+        assert_tables_are_per_map(Problem.local(2, objective, [b], [a]))
 
 
 def to_sympy(poly, symbols):
@@ -320,6 +403,9 @@ class TestProblemFiles:
             parse_ybar(["huge"], 1)
         assert parse_ybar(["+inf", "-3.5"], 2) == (math.inf, -3.5)
         assert parse_ybar("inf, +INF,1e300", 3) == (math.inf, math.inf, 1e300)
+        assert parse_ybar(["Infinity", 5], 2) == (math.inf, 5.0)
+        with pytest.raises(ProblemValidationError, match="overflows to infinity"):
+            parse_ybar("1e999", 1)
 
     @pytest.mark.parametrize("entry", ["nan", "-inf", " -INF", math.nan,
                                        -math.inf, "NaN"])
@@ -332,6 +418,19 @@ class TestProblemFiles:
         # the json module writes and reads NaN, which standard JSON lacks
         path.write_text('{"n": 1, "objectives": ["x1"], "ybar": [NaN]}')
         with pytest.raises(ProblemValidationError, match="NaN or -inf"):
+            load_problem(path)
+
+    def test_the_variable_limit_is_accepted(self):
+        prob, _ = problem_from_dict({"n": MAX_VARS, "objectives": [f"x{MAX_VARS}"]})
+        assert prob.n == MAX_VARS
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_file_refused(self, tmp_path, name):
+        content, reason = MALFORMED[name]
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        # the two input errors the command line reports
+        with pytest.raises((ProblemValidationError, ParseError), match=reason):
             load_problem(path)
 
     def test_bad_json_reported(self, tmp_path):
