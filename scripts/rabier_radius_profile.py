@@ -54,7 +54,7 @@ def main():
     cfg = DEFAULT_CONFIG.replace(radius_factor=10.0,
                                  radius_count=args.decades + 1,
                                  weights_per_radius=args.chains)
-    traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg)
+    traces = trace_tangency(prob, ybar, cfg)
 
     header = (f"{'radius':>12s} " + " ".join(f"{f'f_{k+1}':>12s}"
                                              for k in range(prob.p))

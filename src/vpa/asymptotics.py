@@ -3,15 +3,15 @@ classification of properness, Palais-Smale, Cerami, and M-tameness at a
 reference value ybar.
 
 Evidence comes from sequences of feasible points with growing norms: Pareto
-points of randomly weighted objectives on S intersect spheres of scheduled
-radii (warm-started continuation), feasible rays, and user-supplied custom
-rays. Each point is summarised in a TraceRecord carrying the Rabier value,
-its radius-scaled variant, and tangency membership. Classification searches
-the traces for diverging, f-convergent subsequences below ybar whose
-defining quantity vanishes (or stays in the tangency variety), and reports
-holds_evidence / fails_witness / inconclusive per condition. Emptiness of an
-asymptotic set is not decidable by sampling; holds_evidence is sampled
-evidence, never a proof.
+points of randomly weighted objectives on S intersect spheres of the radii
+`cfg.radii()` (warm-started continuation), feasible rays, and user-supplied
+custom rays. Each point is summarised in a TraceRecord carrying the Rabier
+value, its radius-scaled variant, and tangency membership. Classification
+searches the traces for diverging, f-convergent subsequences below ybar
+whose defining quantity vanishes (or stays in the tangency variety), and
+reports holds_evidence / fails_witness / inconclusive per condition.
+Emptiness of an asymptotic set is not decidable by sampling; holds_evidence
+is sampled evidence, never a proof.
 """
 
 from __future__ import annotations
@@ -209,11 +209,14 @@ def _sphere_rows(prob: Problem, r: float, weights: np.ndarray,
     return objective, sphere, _cut_rows(prob, ybar)
 
 
+# every chain seed starts with this entry, after cfg.seed
+_CHAIN_SEED = 1
+
+
 def trace_tangency(prob: Problem, ybar: Sequence[float],
-                   radii: Sequence[float], weights_seed: int,
                    cfg: RunConfig = DEFAULT_CONFIG) -> list[TraceResult]:
-    """Track approximate Pareto points of f on S intersect S_r over a radius
-    schedule, one warm-started chain per weight draw.
+    """Track approximate Pareto points of f on S intersect S_r over the
+    schedule `cfg.radii()`, one warm-started chain per weight draw.
 
     Each chain holds one seeded weight draw over the whole schedule; chain
     c at radius k warm starts from chain c at radius k-1. Radii where the
@@ -222,25 +225,21 @@ def trace_tangency(prob: Problem, ybar: Sequence[float],
     nothing converges. The chains run as independent units of
     `pipeline.run`.
     """
-    (chains,) = run(chain_stage(prob, ybar, radii, weights_seed, cfg))
+    (chains,) = run(chain_stage(prob, ybar, cfg))
     return chains()
 
 
-def chain_stage(prob: Problem, ybar: Sequence[float], radii: Sequence[float],
-                weights_seed: int, cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
+def chain_stage(prob: Problem, ybar: Sequence[float],
+                cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
     """The chains of `trace_tangency`, one unit each; the stage's result is
     the list of chains."""
-    radii = list(radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
     # one weight vector per chain, held fixed across the whole schedule:
     # redrawing per radius makes a chain chase a different Pareto point at
     # every step and destroys the f-convergence the classifier looks for
-    rng = np.random.default_rng([cfg.seed, weights_seed])
+    rng = np.random.default_rng([cfg.seed, _CHAIN_SEED])
     chain_weights = _chain_weight_draws(prob.p, cfg.weights_per_radius, rng)
-    calls = tuple((_trace_chain, (prob, ybar, radii, w, weights_seed, c, cfg))
-                  for c, w in enumerate(chain_weights))
-    return Stage(calls, _collect_chains)
+    return Stage(tuple((_trace_chain, (prob, ybar, w, c, cfg))
+                       for c, w in enumerate(chain_weights)), _collect_chains)
 
 
 def _collect_chains(chains) -> list[TraceResult]:
@@ -249,15 +248,15 @@ def _collect_chains(chains) -> list[TraceResult]:
     return chains
 
 
-def _trace_chain(prob, ybar, radii, weights, weights_seed, c, cfg) -> TraceResult:
+def _trace_chain(prob, ybar, weights, c, cfg) -> TraceResult:
     """Chain c: its fixed weight over the whole schedule, each radius warm
-    started from the chain's last point, seeds [weights_seed, ridx, c]."""
+    started from the chain's last point, seeds [_CHAIN_SEED, ridx, c]."""
     chain = TraceResult(label=f"pareto-chain-{c:02d}")
     prev = None
-    for ridx, r in enumerate(radii):
+    for ridx, r in enumerate(cfg.radii()):
         chain.attempted_radii.append(r)
         status, x = _resolve_radius(prob, r, weights, ybar, prev, cfg,
-                                    seed=[weights_seed, ridx, c])
+                                    seed=[_CHAIN_SEED, ridx, c])
         if status == "empty":
             # the below-ybar slice at this radius looks empty from every
             # restart: resolved coverage with no point
@@ -558,12 +557,12 @@ def _candidates(traces: list[TraceResult], top_radius: float,
     return out
 
 
-def classify(prob: Problem, ybar: Sequence[float],
-             traces: Sequence[TraceResult | Sequence[TraceRecord]],
+def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult],
              cfg: RunConfig = DEFAULT_CONFIG,
-             mfcq_holds: bool | None = None,
-             schedule: Sequence[float] | None = None) -> dict[str, Verdict]:
-    """Classify the four asymptotic conditions at ybar from gathered traces.
+             mfcq_holds: bool | None = None) -> dict[str, Verdict]:
+    """Classify the four asymptotic conditions at ybar from gathered traces,
+    judging their coverage against the schedule `cfg.radii()`. Hand-built
+    records enter through `TraceResult.from_records`.
 
     Per condition, fails_witness needs a diverging, f-convergent, below-ybar
     subsequence whose defining quantity matches the set definition (bounded
@@ -576,35 +575,21 @@ def classify(prob: Problem, ybar: Sequence[float],
     """
     if len(ybar) != prob.p:
         raise ClassifyError(f"ybar has {len(ybar)} entries, problem has p={prob.p}")
-    normalized = [tr if isinstance(tr, TraceResult) else TraceResult.from_records(tr)
-                  for tr in traces]
-    if not normalized or not any(tr.coverage_radii for tr in normalized):
+    if not any(tr.coverage_radii for tr in traces):
         raise ClassifyError("empty traces: nothing to classify")
 
-    schedule = list(schedule) if schedule is not None else cfg.radii()
-    top_attained = max(max(tr.coverage_radii, default=0.0) for tr in normalized)
-    covered = _coverage(normalized, schedule)
-    cands = _candidates(normalized, top_attained, cfg)
+    top_attained = max(max(tr.coverage_radii, default=0.0) for tr in traces)
+    covered = _coverage(traces, cfg.radii()[-1])
+    cands = _candidates(traces, top_attained, cfg)
 
-    def first(pred):
-        for cand in cands:
-            if pred(cand):
-                return cand
-        return None
-
+    # each condition's witness is the first candidate that fails it
     failing: dict[str, FailureWitness] = {}
-    any_cand = first(lambda c: True)
-    if any_cand is not None:
-        failing["proper"] = any_cand.witness
-    ps = first(lambda c: c.rabier_trend)
-    if ps is not None:
-        failing["palais_smale"] = ps.witness
-    cer = first(lambda c: c.scaled_trend)
-    if cer is not None:
-        failing["cerami"] = cer.witness
-    mt = first(lambda c: c.all_in_tangency)
-    if mt is not None:
-        failing["m_tame"] = mt.witness
+    for cond, fails in zip(CONDITIONS, (lambda c: True, lambda c: c.rabier_trend,
+                                        lambda c: c.scaled_trend,
+                                        lambda c: c.all_in_tangency)):
+        cand = next((c for c in cands if fails(c)), None)
+        if cand is not None:
+            failing[cond] = cand.witness
 
     # inclusion closure (the scaled quantity dominates the plain one for
     # radius >= 1, and the tangency set sits inside the Cerami set under
@@ -629,17 +614,11 @@ def classify(prob: Problem, ybar: Sequence[float],
     return verdicts
 
 
-def _coverage(traces: list[TraceResult], schedule: list[float]) -> bool:
+def _coverage(traces: Sequence[TraceResult], top: float) -> bool:
     radii = sorted({r for tr in traces if tr.counts_for_coverage
                     for r in tr.coverage_radii})
-    if not radii:
-        return False
-    top = max(schedule)
-    if radii[-1] < 0.99 * top:
-        return False
-    if len(radii) < min(4, len(schedule)):
-        return False
-    return radii[-1] >= radii[0] * 10 ** _COVERAGE_DECADES
+    return (len(radii) >= 4 and radii[-1] >= 0.99 * top
+            and radii[-1] >= radii[0] * 10 ** _COVERAGE_DECADES)
 
 
 # -- export --------------------------------------------------------------------

@@ -145,7 +145,7 @@ def _load_config(path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text())
         return RunConfig.from_dict(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # RecursionError: nested JSON
         raise InputError(f"bad config file {path}: {exc}")
 
 
@@ -223,7 +223,7 @@ def _write_archive(outdir, prob, archive) -> list[dict]:
 
 
 def _cmd_trace(prob, ybar, point, cfg, outdir):
-    traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg)
+    traces = trace_tangency(prob, ybar, cfg)
     return {
         "traces": traces,
         "record_count": _write_trace(outdir, prob, traces),
@@ -232,20 +232,17 @@ def _cmd_trace(prob, ybar, point, cfg, outdir):
 
 
 def _cmd_classify(prob, ybar, point, cfg, outdir):
-    radii = cfg.radii()
-    read_rays, read_chains = run(
-        pareto.ray_stage(prob, ybar, cfg),
-        asymptotics.chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg))
+    read_rays, read_chains = run(pareto.ray_stage(prob, ybar, cfg),
+                                 asymptotics.chain_stage(prob, ybar, cfg))
     rays = read_rays()
     evidence = pareto.sample_mfcq_evidence(rays)
     traces = read_chains() + [ray.trace for ray in rays if ray.trace is not None]
-    verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=evidence.holds,
-                        schedule=radii)
+    verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=evidence.holds)
     return {"mfcq_evidence": evidence, "verdicts": verdicts}
 
 
 def _cmd_section(prob, ybar, point, cfg, outdir):
-    report = pareto.section_probe(prob, ybar, cfg.section_budget, seed=1, cfg=cfg)
+    report = pareto.section_probe(prob, ybar, cfg)
     return {"section": report}
 
 

@@ -1,7 +1,8 @@
 """Run configuration: tolerances, radius schedule, seeds, and budgets.
 
 A single frozen dataclass flows through every operation so that reports can
-echo the exact numeric environment they were computed under.
+echo the exact numeric environment they were computed under; the evidence
+stages take `(prob, ybar, cfg)` alone, so that config reproduces them.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -66,6 +69,18 @@ class RunConfig:
         if min(self.weights_per_radius, self.weight_grid, self.starts_per_weight,
                self.section_budget, self.projection_max_iter) < 1:
             raise ValueError("budgets must be at least 1")
+        # last, so NaN keeps the messages above; nor is a huge integer finite
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        try:   # in floats, so an integer factor and a huge count fail at once
+            top = float(self.radius_base) * float(self.radius_factor) ** (self.radius_count - 1)
+        except OverflowError:
+            top = math.inf
+        if not top <= sys.float_info.max:
+            raise ValueError("radius schedule overflows: its largest radius, radius_base"
+                             " * radius_factor ** (radius_count - 1), is not finite")
 
     def radii(self) -> list[float]:
         return [self.radius_base * self.radius_factor ** k

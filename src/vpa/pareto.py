@@ -3,7 +3,8 @@ weighted-sum scalarization, front sweeps, and the existence verdict that
 composes constraint-qualification evidence, section evidence, and the
 asymptotic classification. A command samples its feasible rays once, as
 one pool (`ray_stage`) whose units also make the MFCQ probes, traces and
-section samples that the evidence takes from them.
+section samples that the evidence takes from them. Every stage takes
+`(prob, ybar, cfg)` alone.
 """
 
 from __future__ import annotations
@@ -255,33 +256,35 @@ def _section_descent(prob: Problem, ybar, start, cfg: RunConfig):
     )
 
 
-def section_probe(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
+def _section_count(cfg: RunConfig) -> int:
+    """The section probe's count of pooled rays, and of seeded descents."""
+    return max(1, cfg.section_budget // 8)
+
+
+def section_probe(prob: Problem, ybar: Sequence[float],
                   cfg: RunConfig = DEFAULT_CONFIG) -> SectionReport:
     """Gather feasible points with f <= ybar and test for a common lower bound.
 
     Boundedness here is about section values: the report flags an escape
     only when section values keep drifting downward as the sample norms
     grow, i.e. the values themselves escape every candidate bound along a
-    diverging trace. The first max(1, budget // 8) rays of the feasible-ray
-    pool and as many seeded descents give the samples, all as units of one
+    diverging trace. The section rays of the feasible-ray pool and the
+    seeded descents (`_section_count`) give the samples, all as units of one
     `pipeline.run`. Raises SectionError when no section point is found.
     """
-    descents = section_stage(prob, ybar, budget, seed, cfg)
-    rays = ray_stage(prob, ybar, cfg, mfcq=0, traces=0, section=max(1, budget // 8))
-    read_rays, read_descents = run(rays, descents)
-    return _section_report(read_rays(), read_descents(), cfg.radii())
+    rays = ray_stage(prob, ybar, cfg, probe=False, section=True)
+    read_rays, read_descents = run(rays, section_stage(prob, ybar, cfg))
+    return _section_report(read_rays(), read_descents(), cfg)
 
 
-def section_stage(prob: Problem, ybar: Sequence[float], budget: int, seed: int,
+def section_stage(prob: Problem, ybar: Sequence[float],
                   cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
-    """The max(1, budget // 8) seeded descents of `section_probe`, one unit
-    each; the stage's result is their (points checked, samples) pairs."""
+    """The seeded descents of `section_probe`, one unit each; the stage's
+    result is their (points checked, samples) pairs."""
     if not any(math.isfinite(y) for y in ybar):
         raise ValueError("section_probe needs at least one finite ybar component")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    rng = np.random.default_rng([cfg.seed, 0x5EC, seed])
-    starts = [2.0 * rng.standard_normal(prob.n) for _ in range(max(1, budget // 8))]
+    rng = np.random.default_rng([cfg.seed, 0x5EC, 1])
+    starts = [2.0 * rng.standard_normal(prob.n) for _ in range(_section_count(cfg))]
     return Stage(tuple((_descent_samples, (prob, ybar, start, cfg)) for start in starts),
                  list)
 
@@ -316,7 +319,7 @@ def _section_samples(prob: Problem, ybar, points, cfg: RunConfig) -> tuple[int, 
 
 
 def _section_report(rays: list[PooledRay], descents: list[tuple[int, list]],
-                    radii: Sequence[float]) -> SectionReport:
+                    cfg: RunConfig) -> SectionReport:
     """The section evidence of the pooled rays' and the descents' samples."""
     parts = [ray.section for ray in rays if ray.section is not None] + descents
     checked = sum(count for count, _ in parts)
@@ -326,7 +329,7 @@ def _section_report(rays: list[PooledRay], descents: list[tuple[int, list]],
             "no section point found; ybar may be outside the reachable image")
 
     samples.sort(key=lambda s: s[0])
-    escape = _detect_value_escape(samples, radii)
+    escape = _detect_value_escape(samples, cfg.radii()[-1])
     fvals = np.array([fv for _, _, fv in samples])
     floor = fvals.min(axis=0)
     margin = 1e-6 * np.maximum(1.0, np.abs(floor))
@@ -342,11 +345,10 @@ def _section_report(rays: list[PooledRay], descents: list[tuple[int, list]],
     )
 
 
-def _detect_value_escape(samples, radii):
+def _detect_value_escape(samples, top: float):
     """Section values escaping downward along diverging sample norms:
-    per-decade componentwise minima that keep decreasing through the top of
-    the radius schedule."""
-    top = max(radii)
+    per-decade componentwise minima that keep decreasing through `top`, the
+    top of the radius schedule."""
     tiers: dict[int, list[tuple]] = {}
     for sample in samples:
         tiers.setdefault(int(math.floor(math.log10(max(sample[0], 1e-12)))), []).append(sample)
@@ -384,31 +386,33 @@ class PooledRay:
 
 
 def ray_stage(prob: Problem, ybar: Sequence[float], cfg: RunConfig = DEFAULT_CONFIG,
-              mfcq: int = 2, traces: int = 2, section: int = 0) -> Stage:
+              probe: bool = True, section: bool = False) -> Stage:
     """A command's feasible rays, ray k with seed 2000 + k in a unit that
-    also probes MFCQ if k < mfcq, traces it if k < traces and takes its
-    section samples if k < section; the result lists the sampled rays."""
-    return Stage(tuple((_pooled_ray, (prob, ybar, k, k < mfcq, k < traces,
-                                      k < section, cfg))
-                       for k in range(max(mfcq, traces, section))),
+    probes MFCQ at its points and traces it if `probe` and k < 2 (the probe
+    rays), and takes its section samples if `section` and k <
+    `_section_count(cfg)`; the result lists the sampled rays."""
+    probes = 2 if probe else 0
+    sections = _section_count(cfg) if section else 0
+    return Stage(tuple((_pooled_ray, (prob, ybar, k, k < probes, k < sections, cfg))
+                       for k in range(max(probes, sections))),
                  lambda rays: [ray for ray in rays if ray is not None])
 
 
-def _pooled_ray(prob, ybar, k, mfcq, trace, section, cfg) -> PooledRay | None:
+def _pooled_ray(prob, ybar, k, probe, section, cfg) -> PooledRay | None:
     """Ray k and what its readers take from it; None if it has no point."""
     try:
         ray = sample_feasible_ray(prob, cfg.radii(), 2000 + k, cfg)
     except RayError:
         return None
     failures = []
-    for r, x in ray.points if mfcq else ():
+    for r, x in ray.points if probe else ():
         report = mfcq_probe(prob, x, cfg)
         if not report.holds:
             failures.append({"radius": r, "x": [float(t) for t in x],
                              "gradient_rank": report.gradient_rank, "margin": report.margin})
     return PooledRay(
-        mfcq=(len(ray.points), failures) if mfcq else None,
-        trace=ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{k:02d}") if trace else None,
+        mfcq=(len(ray.points), failures) if probe else None,
+        trace=ray_to_trace(prob, ybar, ray, cfg, label=f"ray-{k:02d}") if probe else None,
         section=_section_samples(prob, ybar, [x for _, x in ray.points], cfg)
         if section else None)
 
@@ -480,20 +484,18 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     read in the order below.
     """
     notes = []
-    radii = cfg.radii()
-    finite = any(math.isfinite(y) for y in ybar)
     # with ybar +inf in every component there is no section to probe
-    section_rays = max(1, cfg.section_budget // 8) if finite else 0
-    descents = (section_stage(prob, ybar, cfg.section_budget, 1, cfg)
-                if finite else Stage((), lambda values: None))
+    finite = any(math.isfinite(y) for y in ybar)
+    descents = (section_stage(prob, ybar, cfg) if finite
+                else Stage((), lambda values: None))
     # the front's one unit, the longest, is submitted first so that the
     # other children work through the rest meanwhile
     stages = (front_stage(prob, ybar, cfg),
-              ray_stage(prob, ybar, cfg, section=section_rays),
+              ray_stage(prob, ybar, cfg, section=finite),
               Stage(((_verify_ybar_membership, (prob, ybar, cfg)),),
                     lambda values: values[0]),
               descents,
-              chain_stage(prob, ybar, radii, weights_seed=1, cfg=cfg))
+              chain_stage(prob, ybar, cfg))
     read_front, read_rays, read_membership, read_descents, read_chains = run(*stages)
     rays = read_rays()
     mfcq = sample_mfcq_evidence(rays)
@@ -502,7 +504,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     section = None
     if finite:
         try:
-            section = _section_report(rays, read_descents(), radii)
+            section = _section_report(rays, read_descents(), cfg)
             section_bounded = section.bounded_evidence
         except VpaError as exc:
             notes.append(f"section probe failed: {exc}")
@@ -520,8 +522,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     traces.extend(ray.trace for ray in rays if ray.trace is not None)
 
     try:
-        verdicts = classify(prob, ybar, traces, cfg,
-                            mfcq_holds=mfcq.holds, schedule=radii)
+        verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=mfcq.holds)
     except ClassifyError as exc:
         verdicts = {}
         notes.append(f"classification failed: {exc}")

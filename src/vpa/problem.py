@@ -76,28 +76,24 @@ class Problem:
         return x
 
     def evaluate(self, x) -> tuple[np.ndarray, ...]:
-        """(f, g, h, Jf, Jg, Jh) at x from one product of the compiled table.
+        """(f, g, h, Jf, Jg, Jh) at x: the one-point case of `_evaluate_batch`.
 
         The blocks are views of one fresh vector; empty ones have shapes
         (0,) and (0, n).
         """
-        x = self._point(x)
-        v = self._coeffs @ np.multiply.reduce(x ** self._exps, axis=1)
+        v = _table_product(self._exps, self._coeffs, self._point(x))
         p, pl, rows = self._cuts
         jac = v[rows:].reshape(rows, self.n)
         return v[:p], v[p:pl], v[pl:rows], jac[:p], jac[p:pl], jac[pl:]
 
     def _evaluate_batch(self, X) -> np.ndarray:
         """The table at each point of X (k x n): row i is the vector that
-        `evaluate(X[i])` splits into its blocks, bit for bit. One
-        matrix-vector product per row, so a row depends on its own point
-        alone, not on the other rows."""
-        monomials = np.multiply.reduce(X[:, None, :] ** self._exps, axis=2)
-        return np.matvec(self._coeffs, monomials)
+        `evaluate(X[i])` splits into its blocks, bit for bit."""
+        return _table_product(self._exps, self._coeffs, X[:, None, :])
 
     def hessians(self, x) -> tuple[np.ndarray, ...]:
         """(Hf, Hg, Hh) at x, shapes (p, n, n), (l, n, n) and (m, n, n),
-        from one product of the second-partials table.
+        from the one-point product of the second-partials table.
 
         Row (k*n + i)*n + j of that table holds the partial of polys[k] in
         x_{i+1}, then in x_{j+1}. It is compiled on first use: most problems
@@ -107,8 +103,7 @@ class Problem:
         n = self.n
         if self._second is None:
             self._second = _second_table([a for block in self.maps for a in block], n)
-        exps, coeffs = self._second
-        hess = (coeffs @ np.multiply.reduce(x ** exps, axis=1)).reshape(-1, n, n)
+        hess = _table_product(*self._second, x).reshape(-1, n, n)
         p, pl, _ = self._cuts
         return hess[:p], hess[p:pl], hess[pl:]
 
@@ -161,12 +156,19 @@ def _second_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _compile(entries, len(rows) * n * n, n)
 
 
+def _table_product(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Every evaluation: a table's rows at one point, shape (n,), or at each
+    point of a batch, shape (k, 1, n), by one matrix-vector product per
+    point, so a point gets the same bits alone and in any batch."""
+    return np.matvec(coeffs, np.multiply.reduce(points ** exps, axis=-1))
+
+
 def _compile(entries, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent matrix E (monomials x n, float64) and coefficient matrix C
     (rows x monomials) from (row, exponents, coefficient) entries, at most
-    one per row and monomial, so that C @ prod(x ** E, axis=1) stacks the
-    rows' values. Monomials are in ascending lexicographic order. E is
-    stored as float64, the type `power` casts an integer exponent to."""
+    one per row and monomial, so that `_table_product` stacks the rows'
+    values. Monomials are in ascending lexicographic order. E is stored as
+    float64, the type `power` casts an integer exponent to."""
     monomials = sorted({exps for _, exps, _ in entries})
     column = {exps: j for j, exps in enumerate(monomials)}
     coeffs = np.zeros((rows, len(monomials)))

@@ -92,10 +92,8 @@ def test_criterion_asymptotic_set_separation(degenerate_line):
     with criterion("asymptotic-set-separation"):
         prob, ybar = degenerate_line
         cfg = SCHEDULE_CONFIG
-        traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1,
-                                cfg=cfg)
-        verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=False,
-                            schedule=cfg.radii())
+        traces = trace_tangency(prob, ybar, cfg)
+        verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=False)
         mt = verdicts["m_tame"]
         assert mt.status == "fails_witness"
         assert max(abs(v) for v in mt.witness.limit) <= 1e-3
@@ -110,14 +108,15 @@ def test_criterion_palais_smale_witness(hyperbola):
     """The hand-derived escape ray is a Palais-Smale failure witness."""
     with criterion("palais-smale-witness"):
         prob, ybar = hyperbola
-        ks = [10.0 * 2.0 ** j for j in range(11)]
+        cfg = SCHEDULE_CONFIG.replace(radius_factor=2.0, radius_count=11)
+        ks = cfg.radii()
         assert ks[-1] >= 1e4
         points = [np.array([k, 1.0 / k, -1.0]) for k in ks]
         trace = trace_from_points(prob, ybar, points)
         values = [rec.rabier for rec in trace.records]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-3
-        verdicts = classify(prob, ybar, [trace], SCHEDULE_CONFIG, schedule=ks)
+        verdicts = classify(prob, ybar, [trace], cfg)
         ps = verdicts["palais_smale"]
         assert ps.status == "fails_witness"
         assert max(abs(ps.witness.limit[0] + 1.0),
@@ -221,16 +220,16 @@ def _random_problem(rng):
 
 
 def _light_evidence(prob, ybar, cfg):
-    traces = list(trace_tangency(prob, ybar, cfg.radii(), weights_seed=1,
-                                 cfg=cfg))
+    traces = list(trace_tangency(prob, ybar, cfg))
     try:
         ray = sample_feasible_ray(prob, cfg.radii(), seed=7, cfg=cfg)
         traces.append(ray_to_trace(prob, ybar, ray, cfg, label="ray-07"))
     except VpaError:
         pass
-    (read_rays,) = run(ray_stage(prob, ybar, cfg, mfcq=1, traces=0))
-    evidence = sample_mfcq_evidence(read_rays())
-    return traces, evidence
+    # MFCQ evidence from ray 0 alone; the probe rays' traces stay out
+    (read_rays,) = run(ray_stage(prob, ybar, cfg))
+    rays = [ray for ray in read_rays() if ray.trace.label == "ray-00"]
+    return traces, sample_mfcq_evidence(rays)
 
 
 def _assert_consistent(verdicts, mfcq_holds):
@@ -259,8 +258,7 @@ def test_criterion_inclusion_chain_consistency(degenerate_line, hyperbola,
         for prob, ybar in fixtures:
             traces, evidence = _light_evidence(prob, ybar, cfg)
             verdicts = classify(prob, ybar, traces, cfg,
-                                mfcq_holds=evidence.holds,
-                                schedule=cfg.radii())
+                                mfcq_holds=evidence.holds)
             _assert_consistent(verdicts, evidence.holds)
             checked += 1
 
@@ -272,8 +270,7 @@ def test_criterion_inclusion_chain_consistency(degenerate_line, hyperbola,
             try:
                 traces, evidence = _light_evidence(prob, ybar, cfg)
                 verdicts = classify(prob, ybar, traces, cfg,
-                                    mfcq_holds=evidence.holds,
-                                    schedule=cfg.radii())
+                                    mfcq_holds=evidence.holds)
             except VpaError:
                 generated += 1   # no verdict emitted, nothing to violate
                 continue

@@ -24,8 +24,7 @@ def hyperbola_ray(ks):
 @pytest.fixture(scope="module")
 def line_traces(degenerate_line, light_config):
     prob, ybar = degenerate_line
-    return trace_tangency(prob, ybar, light_config.radii(), weights_seed=1,
-                          cfg=light_config)
+    return trace_tangency(prob, ybar, light_config)
 
 
 class TestRecords:
@@ -93,9 +92,9 @@ class TestTraceTangency:
 
     def test_determinism(self, degenerate_line, light_config):
         prob, ybar = degenerate_line
-        radii = light_config.radii()[:3]
-        a = trace_tangency(prob, ybar, radii, weights_seed=9, cfg=light_config)
-        b = trace_tangency(prob, ybar, radii, weights_seed=9, cfg=light_config)
+        cfg = light_config.replace(radius_count=4, seed=9)
+        a = trace_tangency(prob, ybar, cfg)
+        b = trace_tangency(prob, ybar, cfg)
         assert flatten_records(a) == flatten_records(b)
 
     def test_hessians_come_from_the_compiled_table(self, monkeypatch,
@@ -112,15 +111,14 @@ class TestTraceTangency:
         # in-process, so the patches reach every unit
         monkeypatch.setattr(pipeline, "_pool_workers", lambda units: 0)
         prob, ybar = degenerate_line
-        traces = trace_tangency(prob, ybar, light_config.radii(),
-                                weights_seed=1, cfg=light_config)
+        traces = trace_tangency(prob, ybar, light_config)
         assert flatten_records(traces) and calls
 
-    def test_radii_must_increase(self, degenerate_line, light_config):
-        prob, ybar = degenerate_line
-        with pytest.raises(ValueError):
-            trace_tangency(prob, ybar, [10.0, 10.0], weights_seed=1,
-                           cfg=light_config)
+    def test_radii_must_increase(self, light_config):
+        # the chains run on the config's schedule, and a config refuses one
+        # whose radii do not increase
+        with pytest.raises(ValueError, match="radius schedule"):
+            light_config.replace(radius_factor=1.0)
 
 
 class TestKktPolish:
@@ -219,7 +217,7 @@ class TestKktPolish:
         for newton in (asymptotics._newton_stall, newton_with_every_jacobian):
             monkeypatch.setattr(asymptotics, "_newton_stall", newton)
             hessians.clear()
-            traces = trace_tangency(prob, ybar, cfg.radii(), weights_seed=1, cfg=cfg)
+            traces = trace_tangency(prob, ybar, cfg)
             records = [(np.array(rec.point).tobytes(), np.float64(rec.rabier).tobytes(),
                         rec.in_tangency) for trace in traces for rec in trace.records]
             runs.append((records, len(hessians)))
@@ -268,9 +266,9 @@ class TestClassify:
     def test_palais_smale_failure_on_hyperbola_ray(self, hyperbola,
                                                    light_config):
         prob, ybar = hyperbola
-        ks = [10.0 * 2 ** j for j in range(11)]
-        trace = trace_from_points(prob, ybar, hyperbola_ray(ks))
-        verdicts = classify(prob, ybar, [trace], light_config, schedule=ks)
+        cfg = light_config.replace(radius_factor=2.0, radius_count=11)
+        trace = trace_from_points(prob, ybar, hyperbola_ray(cfg.radii()))
+        verdicts = classify(prob, ybar, [trace], cfg)
         ps = verdicts["palais_smale"]
         assert ps.status == "fails_witness"
         assert np.allclose(ps.witness.limit, [-1.0, 1.0], atol=1e-2)
@@ -280,8 +278,7 @@ class TestClassify:
     def test_degenerate_line_separates_tameness_from_palais_smale(
             self, degenerate_line, light_config, line_traces):
         prob, ybar = degenerate_line
-        verdicts = classify(prob, ybar, line_traces, light_config,
-                            mfcq_holds=False, schedule=light_config.radii())
+        verdicts = classify(prob, ybar, line_traces, light_config, mfcq_holds=False)
         assert verdicts["m_tame"].status == "fails_witness"
         assert np.allclose(verdicts["m_tame"].witness.limit, [0.0, 0.0],
                            atol=1e-3)
@@ -292,22 +289,21 @@ class TestClassify:
     def test_section_point_problem_gives_tame_evidence(self, motzkin,
                                                        light_config):
         prob, ybar = motzkin
-        traces = trace_tangency(prob, ybar, light_config.radii(),
-                                weights_seed=1, cfg=light_config)
-        verdicts = classify(prob, ybar, traces, light_config,
-                            mfcq_holds=True, schedule=light_config.radii())
+        traces = trace_tangency(prob, ybar, light_config)
+        verdicts = classify(prob, ybar, traces, light_config, mfcq_holds=True)
         assert verdicts["m_tame"].status == "holds_evidence"
         assert all(v.status == "holds_evidence" for v in verdicts.values())
 
     def test_reorder_invariance(self, hyperbola, light_config):
         prob, ybar = hyperbola
-        ks = [10.0 * 2 ** j for j in range(11)]
+        cfg = light_config.replace(radius_factor=2.0, radius_count=11)
+        ks = cfg.radii()
         t1 = trace_from_points(prob, ybar, hyperbola_ray(ks), label="a")
         t2 = trace_from_points(prob, ybar,
                                [np.array([k, 2.0 / k, -1.1]) for k in ks],
                                label="b")
-        fwd = classify(prob, ybar, [t1, t2], light_config, schedule=ks)
-        rev = classify(prob, ybar, [t2, t1], light_config, schedule=ks)
+        fwd = classify(prob, ybar, [t1, t2], cfg)
+        rev = classify(prob, ybar, [t2, t1], cfg)
         assert {c: v.status for c, v in fwd.items()} \
             == {c: v.status for c, v in rev.items()}
         assert fwd["palais_smale"].witness.limit \
@@ -319,12 +315,11 @@ class TestClassify:
         prob, ybar = hyperbola
         # rig a trace whose scaled values vanish too: both sets are hit and
         # the inclusion closure must mark Palais-Smale failed as well
-        ks = [10.0 * 4 ** j for j in range(6)]
-        base = trace_from_points(prob, ybar, hyperbola_ray(ks)).records
+        cfg = light_config.replace(radius_factor=4.0, radius_count=6)
+        base = trace_from_points(prob, ybar, hyperbola_ray(cfg.radii())).records
         rigged = [dataclasses.replace(r, scaled_rabier=r.rabier / 10.0)
                   for r in base]
-        verdicts = classify(prob, ybar, [TraceResult.from_records(rigged)],
-                            light_config, schedule=ks)
+        verdicts = classify(prob, ybar, [TraceResult.from_records(rigged)], cfg)
         assert verdicts["cerami"].status == "fails_witness"
         assert verdicts["palais_smale"].status == "fails_witness"
 
@@ -333,8 +328,7 @@ class TestClassify:
         prob, ybar = degenerate_line
         # with (counterfactual) qualification evidence the tangency witness
         # must cascade down the inclusion chain
-        verdicts = classify(prob, ybar, line_traces, light_config,
-                            mfcq_holds=True, schedule=light_config.radii())
+        verdicts = classify(prob, ybar, line_traces, light_config, mfcq_holds=True)
         assert verdicts["m_tame"].status == "fails_witness"
         assert verdicts["cerami"].status == "fails_witness"
         assert verdicts["cerami"].witness.propagated_from == "m_tame"
@@ -348,8 +342,7 @@ class TestClassify:
     def test_sparse_coverage_is_inconclusive(self, hyperbola, light_config):
         prob, ybar = hyperbola
         trace = trace_from_points(prob, ybar, hyperbola_ray([10.0, 20.0, 30.0]))
-        verdicts = classify(prob, ybar, [trace], light_config,
-                            schedule=light_config.radii())
+        verdicts = classify(prob, ybar, [trace], light_config)
         assert all(v.status == "inconclusive" for v in verdicts.values())
 
 

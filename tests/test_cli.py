@@ -9,7 +9,10 @@ import pytest
 
 from conftest import assert_reports_reencode
 from test_problem import MALFORMED
-from vpa.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_OPERATION, PARSER, main
+from vpa import RunConfig, load_problem, pipeline
+from vpa.asymptotics import chain_stage, classify, flatten_records, trace_csv, trace_tangency
+from vpa.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_OPERATION, PARSER, _json_text, main
+from vpa.pareto import ray_stage, sample_mfcq_evidence, section_probe
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 LIGHT = {
@@ -243,6 +246,22 @@ class TestInputValidation:
         pytest.param({"divergence_cap": math.nan}, "divergence_cap", id="nan-cap"),
         pytest.param({"tol_feas": math.nan}, "tol_feas", id="nan-tolerance"),
         pytest.param({"radius_factor": math.nan}, "radius schedule", id="nan-factor"),
+        pytest.param({"tol_feas": math.inf}, "tol_feas must be finite", id="inf-tolerance"),
+        pytest.param({"divergence_cap": math.inf}, "divergence_cap must be finite",
+                     id="inf-cap"),
+        pytest.param({"radius_base": math.inf}, "radius_base must be finite", id="inf-base"),
+        pytest.param({"radius_factor": math.inf}, "radius_factor must be finite",
+                     id="inf-factor"),
+        pytest.param({"tol_margin": 10 ** 400}, "tol_margin must be finite",
+                     id="integer-tolerance-overflows"),
+        pytest.param({"radius_factor": 1e300}, "radius schedule overflows",
+                     id="schedule-overflows"),
+        pytest.param({"radius_base": 1e308}, "radius schedule overflows",
+                     id="schedule-overflows-to-inf"),
+        pytest.param({"radius_factor": 2, "radius_count": 10 ** 12},
+                     "radius schedule overflows", id="integer-schedule-overflows"),
+        pytest.param({"radius_factor": 2, "radius_count": 10 ** 400},
+                     "radius schedule overflows", id="integer-count-overflows"),
         pytest.param({"seed": -1}, "seed", id="negative-seed"),
         pytest.param({"projection_restarts": -3}, "projection_restarts",
                      id="negative-restarts"),
@@ -251,7 +270,7 @@ class TestInputValidation:
     def test_nan_or_nonpositive_config_value_rejected(self, tmp_path, capsys,
                                                       data, field):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(data))     # NaN is written as the token NaN
+        cfg.write_text(json.dumps(data))     # NaN and inf: the tokens NaN, Infinity
         out = tmp_path / "out"
         assert run(["solve", "--problem", PROBLEMS / "motzkin.json",
                     "--config", cfg, "--out", out]) == EXIT_INPUT
@@ -279,6 +298,20 @@ class TestInputValidation:
                     "--config", cfg, "--out", out]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("vpa: input error: bad config file") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"tol_feas": 1e999}', id="number-overflows"),
+        pytest.param("[" * 100_000, id="nested-too-deeply"),
+    ])
+    def test_malformed_config_file_is_input_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["eval", "--problem", PROBLEMS / "motzkin.json", "--at", "1,1",
+                    "--config", cfg, "--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("vpa: input error: bad config file") and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -350,6 +383,38 @@ class TestPipelineCommands:
         verdicts = report(out, "classify")["result"]["verdicts"]
         assert verdicts["m_tame"]["status"] == "fails_witness"
         assert verdicts["palais_smale"]["status"] == "holds_evidence"
+
+    def test_report_config_reproduces_the_evidence(self, tmp_path):
+        # the config a report embeds is the whole input of its evidence: the
+        # library, given that config alone, gathers the same evidence
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**LIGHT, "seed": 5, "radius_base": 8.0}))
+        problem = PROBLEMS / "hyperbola.json"
+        prob, ybar = load_problem(problem)
+        reports = {}
+        for command in ("trace", "classify", "section"):
+            out = tmp_path / command
+            assert run([command, "--problem", problem, "--config", config,
+                        "--out", out]) == EXIT_OK
+            reports[command] = report(out, command)
+
+        cfg = RunConfig.from_dict(reports["trace"]["config"])
+        text = trace_csv(flatten_records(trace_tangency(prob, ybar, cfg)), prob.n, prob.p)
+        assert text.encode() == (tmp_path / "trace" / "trace.csv").read_bytes()
+
+        cfg = RunConfig.from_dict(reports["classify"]["config"])
+        read_rays, read_chains = pipeline.run(ray_stage(prob, ybar, cfg),
+                                              chain_stage(prob, ybar, cfg))
+        rays = read_rays()
+        evidence = sample_mfcq_evidence(rays)
+        verdicts = classify(prob, ybar, read_chains() + [ray.trace for ray in rays], cfg,
+                            mfcq_holds=evidence.holds)
+        assert {c: v.status for c, v in verdicts.items()} == {
+            c: v["status"] for c, v in reports["classify"]["result"]["verdicts"].items()}
+
+        cfg = RunConfig.from_dict(reports["section"]["config"])
+        section = json.loads(_json_text(section_probe(prob, ybar, cfg)))
+        assert section == reports["section"]["result"]["section"]
 
     def test_pointwise_report_is_deterministic(self, tmp_path):
         outs = []

@@ -259,7 +259,7 @@ class TestSolveFront:
 class TestSectionProbe:
     def test_hyperbola_section_is_bounded(self, hyperbola, light_config):
         prob, ybar = hyperbola
-        report = section_probe(prob, ybar, 16, seed=1, cfg=light_config)
+        report = section_probe(prob, ybar, light_config)
         assert report.bounded_evidence
         omega = report.lower_witness
         assert omega is not None
@@ -268,14 +268,14 @@ class TestSectionProbe:
 
     def test_motzkin_section_clusters_at_origin(self, motzkin, light_config):
         prob, ybar = motzkin
-        report = section_probe(prob, ybar, 16, seed=1, cfg=light_config)
+        report = section_probe(prob, ybar, light_config)
         assert report.bounded_evidence
         for value in report.section_values:
             assert np.allclose(value, [0.0, 0.0], atol=1e-4)
 
     def test_unbounded_linear_objective_escapes(self, light_config):
         prob = Problem(n=1, objectives=(parse("x1", 1),))
-        report = section_probe(prob, (0.0,), 16, seed=1, cfg=light_config)
+        report = section_probe(prob, (0.0,), light_config)
         assert not report.bounded_evidence
         assert report.escape_trace
         radii = [ep.radius for ep in report.escape_trace]
@@ -300,7 +300,7 @@ class TestSectionProbe:
                 raise
         monkeypatch.setattr(pipeline, "_pool_workers", lambda units: 0)
         monkeypatch.setattr(pareto, "_section_descent", recording)
-        report = section_probe(prob, (2.0,), 16, seed=1, cfg=light_config)
+        report = section_probe(prob, (2.0,), light_config)
         assert diverged == [False, False]
         assert report.section_values
         assert all(v == pytest.approx(1.0) for (v,) in report.section_values)
@@ -309,12 +309,12 @@ class TestSectionProbe:
     def test_unreachable_section_errors(self, motzkin, light_config):
         prob, _ = motzkin
         with pytest.raises(SectionError):
-            section_probe(prob, (-5.0, -5.0), 8, seed=1, cfg=light_config)
+            section_probe(prob, (-5.0, -5.0), light_config.replace(section_budget=8))
 
     def test_needs_finite_component(self, motzkin, light_config):
         prob, _ = motzkin
         with pytest.raises(ValueError):
-            section_probe(prob, INF2, 8, seed=1, cfg=light_config)
+            section_probe(prob, INF2, light_config.replace(section_budget=8))
 
 
 class TestRayPool:
@@ -364,7 +364,7 @@ class TestRayPool:
     @pytest.mark.parametrize("budget, rays", [(8, 1), (15, 1), (16, 2), (40, 5)])
     def test_section(self, count_rays, hyperbola, budget, rays):
         prob, ybar = hyperbola
-        section_probe(prob, ybar, budget, seed=1, cfg=LIGHT_CONFIG)
+        section_probe(prob, ybar, LIGHT_CONFIG.replace(section_budget=budget))
         assert count_rays == [2000 + k for k in range(rays)]
 
 

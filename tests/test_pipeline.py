@@ -236,7 +236,7 @@ class TestPathEquivalence:
     def test_trace_tangency(self, monkeypatch, degenerate_line):
         prob, ybar = degenerate_line
         serial, pooled = both_paths(monkeypatch, lambda: trace_tangency(
-            prob, ybar, TINY_CONFIG.radii(), weights_seed=1, cfg=TINY_CONFIG))
+            prob, ybar, TINY_CONFIG))
         assert serial == pooled
 
     def test_solve_front(self, monkeypatch, motzkin):

@@ -15,7 +15,7 @@ from vpa import (DEFAULT_CONFIG, Problem, check_feasible, load_problem,
 from vpa.errors import (DimensionMismatchError, ParseError, ProblemValidationError,
                         ProjectionError, RayError)
 from vpa.polynomials import MAX_VARS, Polynomial, _combine, _partial
-from vpa.problem import _slice_ok, parse_ybar, polish_to_slice
+from vpa.problem import _slice_ok, _table_product, parse_ybar, polish_to_slice
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 FIXTURES = ("motzkin", "hyperbola", "degenerate_line")
@@ -170,8 +170,8 @@ def assert_tables_are_per_map(prob):
     assert_same_table(prob._second, [_partial(_partial(a, i), j) for a in rows
                                      for i in range(n) for j in range(n)], n)
     for exps, coeffs in ((prob._exps, prob._coeffs), prob._second):
-        as_int = coeffs @ np.multiply.reduce(x ** exps.astype(np.int64), axis=1)
-        assert (coeffs @ np.multiply.reduce(x ** exps, axis=1)).tobytes() == as_int.tobytes()
+        as_int = _table_product(exps.astype(np.int64), coeffs, x)
+        assert _table_product(exps, coeffs, x).tobytes() == as_int.tobytes()
 
 
 class TestTables:
