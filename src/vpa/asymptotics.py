@@ -397,8 +397,7 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
             J[n:, :n] = jacs
             return J
 
-        z = _newton_stall(residual, jacobian, np.concatenate([x_start, lam0]),
-                          max_iter=60)
+        z = _newton_stall(residual, jacobian, np.concatenate([x_start, lam0]))
         return z[:n], z[n:]
 
     # active-set correction: inequality rows whose multiplier comes out
@@ -425,12 +424,12 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
     return x
 
 
-def _newton_stall(residual, jacobian, z0, max_iter=60):
+def _newton_stall(residual, jacobian, z0):
     """Backtracking Newton on a square system, row-equilibrated and solved by
     least squares: KKT systems on large spheres are too ill-conditioned for
     normal equations. Halves each step until the residual norm decreases and
     stops once `step_below_resolution(step * d, z)` holds (halving cannot
-    make it useful) or after `max_iter` Newton steps.
+    make it useful) or after 60 Newton steps.
 
     `residual(z)` returns the residual and the partial results that
     `jacobian(z, partial)` builds the Jacobian from. Only the points a step
@@ -438,7 +437,7 @@ def _newton_stall(residual, jacobian, z0, max_iter=60):
     z = np.asarray(z0, dtype=float).copy()
     res, partial = residual(z)
     phi = float(np.linalg.norm(res))
-    for _ in range(max_iter):
+    for _ in range(60):
         J = jacobian(z, partial)
         scale = np.maximum(1e-12, np.max(np.abs(J), axis=1))
         try:
@@ -559,7 +558,7 @@ def _candidates(traces: list[TraceResult], top_radius: float,
 
 def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult],
              cfg: RunConfig = DEFAULT_CONFIG,
-             mfcq_holds: bool | None = None) -> dict[str, Verdict]:
+             mfcq_holds: bool = False) -> dict[str, Verdict]:
     """Classify the four asymptotic conditions at ybar from gathered traces,
     judging their coverage against the schedule `cfg.radii()`. Hand-built
     records enter through `TraceResult.from_records`.

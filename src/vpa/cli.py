@@ -28,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, pareto
-from .asymptotics import classify, flatten_records, trace_tangency
+from .asymptotics import flatten_records, trace_tangency
 from .certificates import mfcq_probe, rabier_value, tangency_membership
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ParseError, ProblemValidationError, VpaError
-from .pipeline import run
 from .problem import _feasibility, evaluate_finite, load_problem, parse_ybar
 
 COMMANDS = ("eval", "rabier", "mfcq", "tangency", "trace", "classify",
@@ -213,13 +212,10 @@ def _write_trace(outdir, prob, traces) -> int:
     return len(records)
 
 
-def _write_archive(outdir, prob, archive) -> list[dict]:
-    """front.csv and archive.json; returns the archive's JSON form for the
-    report."""
+def _write_archive(outdir, prob, archive) -> None:
+    """front.csv and archive.json of the archive's entries."""
     _write_output(outdir / "front.csv", pareto.front_csv(archive, prob.p))
-    data = pareto.archive_to_jsonable(archive)
-    _write_output(outdir / "archive.json", _json_text(data))
-    return data
+    _write_output(outdir / "archive.json", _json_text(archive))
 
 
 def _cmd_trace(prob, ybar, point, cfg, outdir):
@@ -232,12 +228,7 @@ def _cmd_trace(prob, ybar, point, cfg, outdir):
 
 
 def _cmd_classify(prob, ybar, point, cfg, outdir):
-    read_rays, read_chains = run(pareto.ray_stage(prob, ybar, cfg),
-                                 asymptotics.chain_stage(prob, ybar, cfg))
-    rays = read_rays()
-    evidence = pareto.sample_mfcq_evidence(rays)
-    traces = read_chains() + [ray.trace for ray in rays if ray.trace is not None]
-    verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=evidence.holds)
+    evidence, verdicts = pareto.classify_evidence(prob, ybar, cfg)
     return {"mfcq_evidence": evidence, "verdicts": verdicts}
 
 
@@ -248,15 +239,13 @@ def _cmd_section(prob, ybar, point, cfg, outdir):
 
 def _cmd_solve(prob, ybar, point, cfg, outdir):
     archive = pareto.solve_front(prob, ybar, cfg)
-    return {
-        "archive": _write_archive(outdir, prob, archive),
-        "csv": "front.csv",
-    }
+    _write_archive(outdir, prob, archive)
+    return {"archive": archive, "csv": "front.csv"}
 
 
 def _cmd_verdict(prob, ybar, point, cfg, outdir):
     report = pareto.existence_verdict(prob, ybar, cfg)
-    archive = _write_archive(outdir, prob, report.archive)
+    _write_archive(outdir, prob, report.archive)
     _write_trace(outdir, prob, report.traces)
     return {
         "status": report.status,
@@ -265,7 +254,7 @@ def _cmd_verdict(prob, ybar, point, cfg, outdir):
         "mfcq_evidence": report.mfcq,
         "section": report.section,
         "verdicts": report.verdicts,
-        "archive": archive,
+        "archive": report.archive,
         "notes": report.notes,
     }
 

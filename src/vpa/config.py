@@ -15,6 +15,12 @@ import numbers
 import sys
 from dataclasses import dataclass
 
+# Every trace, ray and chain does work at each radius, and each `radii()` call
+# builds the whole list: a count in the millions, whose top radius a factor
+# just above 1 keeps finite, would run a command for hours. The schedules the
+# tests, scripts and benchmarks use have at most 14 radii.
+_MAX_RADII = 100
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,6 +87,16 @@ class RunConfig:
         if not top <= sys.float_info.max:
             raise ValueError("radius schedule overflows: its largest radius, radius_base"
                              " * radius_factor ** (radius_count - 1), is not finite")
+        # the sphere rows divide by r^2, so r^2 must be a normal float
+        if not top * top <= sys.float_info.max:
+            raise ValueError("radius schedule overflows: the square of its largest"
+                             " radius is not finite")
+        base = float(self.radius_base)
+        if not base * base >= sys.float_info.min:
+            raise ValueError("radius schedule underflows: radius_base ** 2 is below"
+                             " the smallest normal float")
+        if self.radius_count > _MAX_RADII:
+            raise ValueError(f"radius schedule has more than {_MAX_RADII} radii")
 
     def radii(self) -> list[float]:
         return [self.radius_base * self.radius_factor ** k

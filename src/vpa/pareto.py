@@ -1,10 +1,12 @@
 """Pareto machinery: nondominated filtering, section-boundedness probing,
-weighted-sum scalarization, front sweeps, and the existence verdict that
-composes constraint-qualification evidence, section evidence, and the
-asymptotic classification. A command samples its feasible rays once, as
-one pool (`ray_stage`) whose units also make the MFCQ probes, traces and
-section samples that the evidence takes from them. Every stage takes
-`(prob, ybar, cfg)` alone.
+weighted-sum scalarization, front sweeps, and the evidence that the
+`classify` and `verdict` commands report: `classify_evidence` composes the
+constraint-qualification evidence and the asymptotic classification, and
+`existence_verdict` adds section evidence and the front. A front's archive is
+the list of its accepted entries after one `nondominated_filter` pass. A
+command samples its feasible rays once, as one pool (`ray_stage`) whose units
+also make the MFCQ probes, traces and section samples that the evidence takes
+from them. Every stage takes `(prob, ybar, cfg)` alone.
 """
 
 from __future__ import annotations
@@ -71,27 +73,6 @@ class ArchiveEntry:
     f: tuple[float, ...]
     weights: tuple[float, ...]
     rabier_residual: float
-
-
-@dataclass
-class ParetoArchive:
-    """Mutually nondominated (point, value) pairs; re-filtered on insertion."""
-    mode: str = "pareto"
-    entries: list[ArchiveEntry] = field(default_factory=list)
-
-    def add(self, entry: ArchiveEntry):
-        self.entries.append(entry)
-        self.refilter()
-
-    def refilter(self):
-        keep = nondominated_filter([e.f for e in self.entries], self.mode)
-        self.entries = [self.entries[i] for i in keep]
-
-    def values(self) -> list[tuple[float, ...]]:
-        return [e.f for e in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
 
 
 # -- scalarized solving ----------------------------------------------------------
@@ -173,10 +154,10 @@ def _starts(prob: Problem, cfg: RunConfig, widx: int) -> list[np.ndarray]:
 
 
 def solve_front(prob: Problem, ybar: Sequence[float],
-                cfg: RunConfig = DEFAULT_CONFIG) -> ParetoArchive:
+                cfg: RunConfig = DEFAULT_CONFIG) -> list[ArchiveEntry]:
     """Weighted-sum sweep over a deterministic simplex lattice plus seeded
     draws, multi-started; keeps feasible stationary points below ybar and
-    filters them to a mutually nondominated archive.
+    returns the mutually nondominated ones, in draw order: the archive.
 
     Weighted sums only reach supported points, so nonconvex fronts may be
     undersampled; the archive is evidence, not an enumeration. The
@@ -190,15 +171,16 @@ def solve_front(prob: Problem, ybar: Sequence[float],
 def front_stage(prob: Problem, ybar: Sequence[float],
                 cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
     """The scalarizations of `solve_front` as one unit; the stage's result
-    is the archive. Raises SolveError, counting the failures by kind, when
-    every run fails."""
+    is the archive, the accepted entries after one `nondominated_filter`
+    pass. Raises SolveError, counting the failures by kind, when every run
+    fails."""
     draws = [(weights, start)
              for widx, weights in enumerate(_weight_draws(prob.p, cfg))
              for start in _starts(prob, cfg, widx)]
 
-    def archive(values) -> ParetoArchive:
+    def archive(values) -> list[ArchiveEntry]:
         (outcomes,) = values
-        out = ParetoArchive(mode="pareto")
+        out = []
         for (weights, _), (label, value) in zip(draws, outcomes):
             if label != "ok":
                 continue
@@ -206,7 +188,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
             fval = prob.f(x)
             if not below_ybar(fval, ybar, cfg.tol_active):
                 continue
-            out.add(ArchiveEntry(
+            out.append(ArchiveEntry(
                 x=tuple(float(t) for t in x),
                 f=tuple(float(t) for t in fval),
                 weights=tuple(float(t) for t in weights),
@@ -216,7 +198,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
         if sum(failed.values()) == len(draws):
             counts = ", ".join(f"{failed[k]} {k}" for k in _FAILURES if failed[k])
             raise SolveError(f"all {len(draws)} scalarized runs failed ({counts})")
-        return out
+        return [out[i] for i in nondominated_filter([e.f for e in out])]
 
     return Stage(((_scalarized_lanes, (prob, draws, cfg)),), archive)
 
@@ -432,6 +414,20 @@ def sample_mfcq_evidence(rays: list[PooledRay]) -> MfcqEvidence:
     return MfcqEvidence(holds=not failures, points_checked=checked, failures=failures)
 
 
+def classify_evidence(prob: Problem, ybar: Sequence[float],
+                      cfg: RunConfig = DEFAULT_CONFIG) -> tuple[MfcqEvidence, dict]:
+    """The `classify` command's evidence: the probe rays' MFCQ evidence, and
+    the four conditions classified under it from the chains' and the probe
+    rays' traces, the rays and the chains run in one `pipeline.run`. These
+    are `existence_verdict`'s `mfcq` and `verdicts`, except that a
+    TraceError or ClassifyError propagates instead of becoming a note."""
+    read_rays, read_chains = run(ray_stage(prob, ybar, cfg), chain_stage(prob, ybar, cfg))
+    rays = read_rays()
+    evidence = sample_mfcq_evidence(rays)
+    traces = read_chains() + [ray.trace for ray in rays if ray.trace is not None]
+    return evidence, classify(prob, ybar, traces, cfg, mfcq_holds=evidence.holds)
+
+
 # -- existence verdict --------------------------------------------------------------
 
 @dataclass
@@ -442,7 +438,7 @@ class ExistenceReport:
     mfcq: MfcqEvidence
     section: SectionReport | None
     verdicts: dict
-    archive: ParetoArchive
+    archive: list[ArchiveEntry]
     traces: list[TraceResult]
     notes: list[str] = field(default_factory=list)
 
@@ -530,7 +526,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     try:
         archive = read_front()
     except SolveError as exc:
-        archive = ParetoArchive()
+        archive = []
         notes.append(f"front sweep failed: {exc}")
 
     failing = []
@@ -565,16 +561,12 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
 
 # -- exports ---------------------------------------------------------------------
 
-def front_csv(archive: ParetoArchive, p: int) -> str:
-    """The text of front.csv: one row of f_1..f_p per archive entry."""
+def front_csv(archive: list[ArchiveEntry], p: int) -> str:
+    """The text of front.csv: one row of f_1..f_p per entry of the archive,
+    the list `solve_front` returns, in its order."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow([f"f_{k+1}" for k in range(p)])
-    for entry in archive.entries:
+    for entry in archive:
         writer.writerow([repr(v) for v in entry.f])
     return text.getvalue()
-
-
-def archive_to_jsonable(archive: ParetoArchive) -> list[dict]:
-    return [{"x": list(e.x), "f": list(e.f), "weights": list(e.weights),
-             "rabier_residual": e.rabier_residual} for e in archive.entries]

@@ -140,8 +140,8 @@ def step_below_resolution(d, x) -> bool:
 _STALL_STEPS, _STALL_DROP = 10, 1e-3
 
 
-def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
-                 lm0: float = 1e-3) -> tuple[np.ndarray, bool, float]:
+def gauss_newton(res_jac, x0, *, accept,
+                 max_iter: int = 200) -> tuple[np.ndarray, bool, float]:
     """Damped (Levenberg-Marquardt) Gauss-Newton until `accept(x)` holds.
 
     `res_jac(x)` returns the residual vector and its Jacobian. Each damped
@@ -153,7 +153,7 @@ def gauss_newton(res_jac, x0, *, accept, max_iter: int = 200,
     accepted steps. Returns (x, accepted, final residual norm).
     """
     x = np.asarray(x0, dtype=float).copy()
-    lam = lm0
+    lam = 1e-3              # the initial damping
     r, J = res_jac(x)
     phi = 0.5 * float(r @ r)
     phis = [phi]            # phi after each accepted step

@@ -56,7 +56,7 @@ def test_criterion_motzkin_front(motzkin):
         archive = solve_front(prob, (math.inf, math.inf), cfg)
         elapsed = time.time() - start
         assert elapsed < 30.0
-        best = min(archive.entries,
+        best = min(archive,
                    key=lambda e: max(abs(e.x[0] - 1.0), abs(e.x[1] - 1.0)))
         assert max(abs(best.x[0] - 1.0), abs(best.x[1] - 1.0)) <= 1e-4
         assert max(abs(best.f[0]), abs(best.f[1])) <= 1e-6
@@ -146,7 +146,7 @@ def test_criterion_benchmark_motzkin_verdict(motzkin):
         assert report.status == STATUS_GUARANTEED
         assert [report.verdicts[c].status for c in CONDITIONS] == ["holds_evidence"] * 4
         assert any(max(abs(e.x[0] - 1.0), abs(e.x[1] - 1.0)) <= 1e-4
-                   for e in report.archive.entries)
+                   for e in report.archive)
 
 
 def test_criterion_benchmark_degenerate_verdict(degenerate_line):

@@ -130,11 +130,11 @@ class TestKktPolish:
         # at z + step*d == z makes 31 evaluations here
         calls = []
 
-        def counted(residual, jacobian, z0, max_iter, _newton=asymptotics._newton_stall):
+        def counted(residual, jacobian, z0, _newton=asymptotics._newton_stall):
             def count(z):
                 calls.append(1)  # one per Newton residual evaluation
                 return residual(z)
-            return _newton(count, jacobian, z0, max_iter)
+            return _newton(count, jacobian, z0)
         monkeypatch.setattr(asymptotics, "_newton_stall", counted)
         prob, ybar = hyperbola
         x0 = np.array([9.949376819309283, 0.09950352040113479,
@@ -226,7 +226,7 @@ class TestKktPolish:
         assert lazy < eager
 
 
-def newton_with_every_jacobian(residual, jacobian, z0, max_iter=60):
+def newton_with_every_jacobian(residual, jacobian, z0):
     """`_newton_stall` with each trial point's Jacobian built alongside its
     residual, kept if the trial is accepted."""
     def res_jac(z):
@@ -235,7 +235,7 @@ def newton_with_every_jacobian(residual, jacobian, z0, max_iter=60):
     z = np.asarray(z0, dtype=float).copy()
     res, J = res_jac(z)
     phi = float(np.linalg.norm(res))
-    for _ in range(max_iter):
+    for _ in range(60):
         scale = np.maximum(1e-12, np.max(np.abs(J), axis=1))
         try:
             d = np.linalg.lstsq(J / scale[:, None], -res / scale, rcond=None)[0]

@@ -7,12 +7,12 @@ import stat
 
 import pytest
 
-from conftest import assert_reports_reencode
+from conftest import LIGHT_CONFIG, assert_reports_reencode
 from test_problem import MALFORMED
-from vpa import RunConfig, load_problem, pipeline
-from vpa.asymptotics import chain_stage, classify, flatten_records, trace_csv, trace_tangency
+from vpa import RunConfig, load_problem
+from vpa.asymptotics import flatten_records, trace_csv, trace_tangency
 from vpa.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_OPERATION, PARSER, _json_text, main
-from vpa.pareto import ray_stage, sample_mfcq_evidence, section_probe
+from vpa.pareto import classify_evidence, existence_verdict, section_probe
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 LIGHT = {
@@ -262,6 +262,14 @@ class TestInputValidation:
                      "radius schedule overflows", id="integer-schedule-overflows"),
         pytest.param({"radius_factor": 2, "radius_count": 10 ** 400},
                      "radius schedule overflows", id="integer-count-overflows"),
+        pytest.param({"radius_factor": 1.000001, "radius_count": 10 ** 8},
+                     "radius schedule has more than 100 radii", id="too-many-radii"),
+        pytest.param({"radius_base": 1e-300}, "radius schedule underflows",
+                     id="square-underflows"),
+        pytest.param({"radius_base": 1e-160}, "radius schedule underflows",
+                     id="square-is-subnormal"),
+        pytest.param({"radius_base": 1e300, "radius_factor": 1.5, "radius_count": 4},
+                     "radius schedule overflows: the square", id="square-overflows"),
         pytest.param({"seed": -1}, "seed", id="negative-seed"),
         pytest.param({"projection_restarts": -3}, "projection_restarts",
                      id="negative-restarts"),
@@ -384,6 +392,21 @@ class TestPipelineCommands:
         assert verdicts["m_tame"]["status"] == "fails_witness"
         assert verdicts["palais_smale"]["status"] == "holds_evidence"
 
+    @pytest.mark.parametrize("fixture", ["motzkin", "hyperbola", "degenerate_line"])
+    def test_classify_reports_the_verdicts_evidence(self, tmp_path, fixture):
+        # `classify_evidence` and `existence_verdict` each compose the MFCQ
+        # evidence and the classification; both must write the same bytes
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(LIGHT_CONFIG.to_dict()))
+        problem = PROBLEMS / f"{fixture}.json"
+        out = tmp_path / "out"
+        assert run(["classify", "--problem", problem, "--config", config,
+                    "--out", out]) == EXIT_OK
+        result = report(out, "classify")["result"]
+        verdict = existence_verdict(*load_problem(problem), LIGHT_CONFIG)
+        assert _json_text(result["mfcq_evidence"]) == _json_text(verdict.mfcq)
+        assert _json_text(result["verdicts"]) == _json_text(verdict.verdicts)
+
     def test_report_config_reproduces_the_evidence(self, tmp_path):
         # the config a report embeds is the whole input of its evidence: the
         # library, given that config alone, gathers the same evidence
@@ -403,14 +426,9 @@ class TestPipelineCommands:
         assert text.encode() == (tmp_path / "trace" / "trace.csv").read_bytes()
 
         cfg = RunConfig.from_dict(reports["classify"]["config"])
-        read_rays, read_chains = pipeline.run(ray_stage(prob, ybar, cfg),
-                                              chain_stage(prob, ybar, cfg))
-        rays = read_rays()
-        evidence = sample_mfcq_evidence(rays)
-        verdicts = classify(prob, ybar, read_chains() + [ray.trace for ray in rays], cfg,
-                            mfcq_holds=evidence.holds)
-        assert {c: v.status for c, v in verdicts.items()} == {
-            c: v["status"] for c, v in reports["classify"]["result"]["verdicts"].items()}
+        evidence, verdicts = classify_evidence(prob, ybar, cfg)
+        result = json.loads(_json_text({"mfcq_evidence": evidence, "verdicts": verdicts}))
+        assert result == reports["classify"]["result"]
 
         cfg = RunConfig.from_dict(reports["section"]["config"])
         section = json.loads(_json_text(section_probe(prob, ybar, cfg)))

@@ -87,7 +87,7 @@ def kkt_problem(monkeypatch, prob, r, weights, ybar, x0):
         made.append(build(cls, *rows))
         return made[-1]
 
-    def stop(residual, jacobian, z0, max_iter):
+    def stop(residual, jacobian, z0):
         raise Captured(residual, jacobian)
     monkeypatch.setattr(Problem, "local", classmethod(local))
     monkeypatch.setattr(asymptotics, "_newton_stall", stop)

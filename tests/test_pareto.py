@@ -11,8 +11,7 @@ from vpa import (DEFAULT_CONFIG, Problem, check_feasible, parse, rabier_value,
 from vpa import pareto, pipeline
 from vpa.errors import (ClassifyError, DivergenceError, NonFiniteError,
                         SectionError, SolveError)
-from vpa.pareto import (ArchiveEntry, ParetoArchive, existence_verdict,
-                        nondominated_filter)
+from vpa.pareto import ArchiveEntry, existence_verdict, nondominated_filter
 from vpa.cli import main
 from vpa.pipeline import Stage
 
@@ -97,17 +96,6 @@ class TestNondominatedFilter:
     def test_p_equals_one_reduces_to_minimum(self):
         values = [(3.0,), (1.0,), (2.0,), (1.0,)]
         assert nondominated_filter(values) == [1]
-
-
-class TestArchive:
-    def test_insertion_keeps_invariant(self):
-        archive = ParetoArchive()
-        for i, f in enumerate([(2.0, 2.0), (1.0, 3.0), (0.5, 0.5), (0.5, 0.5)]):
-            archive.add(ArchiveEntry(x=(float(i),), f=f, weights=(1.0,),
-                                     rabier_residual=0.0))
-            vals = archive.values()
-            assert nondominated_filter(vals) == list(range(len(vals)))
-        assert archive.values() == [(0.5, 0.5)]
 
 
 class TestSolveScalarized:
@@ -218,7 +206,7 @@ class TestSolveFront:
         prob, _ = motzkin
         archive = solve_front(prob, INF2, DEFAULT_CONFIG)
         assert len(archive) >= 1
-        best = min(archive.entries,
+        best = min(archive,
                    key=lambda e: max(abs(e.x[0] - 1), abs(e.x[1] - 1)))
         assert np.allclose(best.x, [1.0, 1.0], atol=1e-4)
         assert np.allclose(best.f, [0.0, 0.0], atol=1e-6)
@@ -227,7 +215,7 @@ class TestSolveFront:
         prob = Problem(n=2, objectives=(parse("x1", 2), parse("x2", 2)),
                        equalities=(parse("x1 + x2 - 1", 2),))
         archive = solve_front(prob, INF2, DEFAULT_CONFIG)
-        vals = archive.values()
+        vals = [entry.f for entry in archive]
         assert vals
         assert all(abs(v[0] + v[1] - 1.0) < 1e-6 for v in vals)
         assert nondominated_filter(vals) == list(range(len(vals)))
@@ -235,9 +223,33 @@ class TestSolveFront:
     def test_archive_points_are_feasible_and_stationary(self, motzkin):
         prob, _ = motzkin
         archive = solve_front(prob, INF2, DEFAULT_CONFIG)
-        for entry in archive.entries:
+        for entry in archive:
             assert check_feasible(prob, np.array(entry.x)).feasible
             assert entry.rabier_residual <= DEFAULT_CONFIG.tol_stationary
+
+    def test_the_archive_is_one_filter_pass_in_draw_order(self, monkeypatch):
+        # accepted lanes on a small grid of values, so with dominated
+        # entries and exact duplicates, and failed lanes between them
+        prob = Problem(n=2, objectives=(parse("x1", 2), parse("x2", 2)))
+        rng = np.random.default_rng(7)
+        accepted = []
+
+        def lanes(prob, draws, cfg):
+            out = []
+            for k, (weights, _) in enumerate(draws):
+                if k % 5 == 4:
+                    out.append(("infeasible", SolveError("stub")))
+                    continue
+                x = rng.integers(0, 4, size=2).astype(float)
+                accepted.append(ArchiveEntry(x=tuple(x), f=tuple(x),
+                                             weights=tuple(weights), rabier_residual=0.0))
+                out.append(("ok", (x, 0.0)))
+            return out
+        monkeypatch.setattr(pareto, "_scalarized_lanes", lanes)
+        archive = solve_front(prob, INF2, DEFAULT_CONFIG)
+        keep = brute_force_filter([entry.f for entry in accepted])
+        assert len(keep) < len(accepted) - 1
+        assert archive == [accepted[i] for i in keep]
 
     def test_empty_feasible_set_errors(self):
         prob = Problem(n=1, objectives=(parse("x1", 1),),
@@ -252,7 +264,7 @@ class TestSolveFront:
         prob, ybar = motzkin
         archive = solve_front(prob, ybar, DEFAULT_CONFIG)
         # the (0,0) section admits only f = (0,0)
-        for entry in archive.entries:
+        for entry in archive:
             assert np.allclose(entry.f, [0.0, 0.0], atol=1e-5)
 
 
@@ -328,7 +340,7 @@ class TestRayPool:
         monkeypatch.setattr(pareto, "chain_stage",
                             lambda *a, **k: Stage((), lambda handles: []))
         monkeypatch.setattr(pareto, "front_stage",
-                            lambda *a, **k: Stage((), lambda handles: ParetoArchive()))
+                            lambda *a, **k: Stage((), lambda handles: []))
         seeds = []
         sample = pareto.sample_feasible_ray
 
@@ -375,7 +387,7 @@ class TestExistenceVerdict:
         monkeypatch.setattr(pareto, "chain_stage",
                             lambda *a, **k: Stage((), lambda handles: []))
         monkeypatch.setattr(pareto, "front_stage",
-                            lambda *a, **k: Stage((), lambda handles: ParetoArchive()))
+                            lambda *a, **k: Stage((), lambda handles: []))
 
     def test_classify_error_becomes_a_note(self, monkeypatch, cheap_stages,
                                            light_config):
