@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Run the full verdict pipeline on the three bundled problems.
+"""Run the full verdict pipeline on the four bundled problems.
 
 Writes one report directory per problem under results/ (default). The
-bundled fixtures exercise the three interesting regimes: a guaranteed
-existence verdict with a recovered solution, an asymptotic-condition
-failure under a valid constraint qualification, and a constraint
-qualification failure with diverging Rabier values.
+bundled fixtures exercise four regimes: a guaranteed existence verdict with
+a recovered solution, an asymptotic-condition failure under a valid
+constraint qualification, a constraint qualification failure with diverging
+Rabier values, and a minimum that exists while every asymptotic condition
+fails (the free Motzkin polynomial, whose axes carry f = 1).
 
 Exits 1 when any verdict exits nonzero.
 
@@ -45,7 +46,7 @@ def main():
                                       indent=2))
 
     failed = False
-    for name in ("motzkin", "hyperbola", "degenerate_line"):
+    for name in ("motzkin", "hyperbola", "degenerate_line", "motzkin_free"):
         problem = ROOT / "problems" / f"{name}.json"
         outdir = args.out / name
         start = time.time()

@@ -32,10 +32,10 @@ from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
                      NonFiniteError, ProjectionError, TraceError)
 from .pipeline import Stage, run
 from .polynomials import _combine
-from .problem import (Problem, _slice_ok, _slice_residual, polish_to_slice,
-                      project_to_sphere_slice)
-from .solvers import (_EPS, minimize_auglag, random_unit_vector, simplex_lattice,
-                      step_below_resolution)
+from .problem import (TOL_ACTIVE, TOL_FEAS, Problem, _slice_ok, _slice_residual,
+                      polish_to_slice, project_to_sphere_slice)
+from .solvers import (_EPS, DIVERGENCE_CAP, minimize_auglag, random_unit_vector,
+                      simplex_lattice)
 
 CONDITIONS = ("proper", "palais_smale", "cerami", "m_tame")
 
@@ -43,6 +43,9 @@ CONDITIONS = ("proper", "palais_smale", "cerami", "m_tame")
 _MIN_SPAN_DECADES = 2.0
 _COVERAGE_DECADES = 3.0
 _TREND_SLACK = 1.001
+# a quantity vanishes when it ends at most TOL_LIMIT; a tail converges in f
+# when its relative spread is below TOL_CLUSTER
+TOL_LIMIT, TOL_CLUSTER = 1e-4, 1e-3
 
 
 def below_ybar(fval: Sequence[float], ybar: Sequence[float], slack: float) -> bool:
@@ -68,15 +71,13 @@ class TraceResult:
 
     coverage_radii holds every scheduled radius where the subproblem was
     resolved: either a point was produced or the below-ybar slice was judged
-    empty (positive evidence). counts_for_coverage is False for traces that
-    were not constrained to the section when ybar is finite.
+    empty (positive evidence).
     """
     label: str
     records: list[TraceRecord] = field(default_factory=list)
     attempted_radii: list[float] = field(default_factory=list)
     coverage_radii: list[float] = field(default_factory=list)
     filtered_radii: list[float] = field(default_factory=list)
-    counts_for_coverage: bool = True
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord],
@@ -87,8 +88,7 @@ class TraceResult:
                    coverage_radii=list(radii))
 
 
-def make_record(prob: Problem, ybar: Sequence[float], x,
-                cfg: RunConfig = DEFAULT_CONFIG) -> TraceRecord:
+def make_record(prob: Problem, ybar: Sequence[float], x) -> TraceRecord:
     """Certificate summary of one feasible point (raises if infeasible).
 
     The below-ybar slack grows with the radius, matching what local solvers
@@ -98,8 +98,8 @@ def make_record(prob: Problem, ybar: Sequence[float], x,
     x = prob._point(x)
     fval = prob.f(x)
     radius = float(np.linalg.norm(x))
-    rab = rabier_value(prob, x, cfg).value
-    member = tangency_membership(prob, x, cfg).is_member
+    rab = rabier_value(prob, x).value
+    member = tangency_membership(prob, x).is_member
     return TraceRecord(
         radius=radius,
         point=tuple(float(t) for t in x),
@@ -107,16 +107,15 @@ def make_record(prob: Problem, ybar: Sequence[float], x,
         rabier=rab,
         scaled_rabier=radius * rab,
         in_tangency=member,
-        below_ybar=below_ybar(fval, ybar, _ybar_slack(radius, cfg)),
+        below_ybar=below_ybar(fval, ybar, _ybar_slack(radius)),
     )
 
 
-def _ybar_slack(radius: float, cfg: RunConfig) -> float:
-    return cfg.tol_active + cfg.tol_feas * max(1.0, radius)
+def _ybar_slack(radius: float) -> float:
+    return TOL_ACTIVE + TOL_FEAS * max(1.0, radius)
 
 
-def trace_from_points(prob: Problem, ybar: Sequence[float], points,
-                      cfg: RunConfig = DEFAULT_CONFIG,
+def trace_from_points(prob: Problem, ybar: Sequence[float], points, *,
                       label: str = "custom") -> TraceResult:
     """Build a trace from explicit points (e.g. a hand-derived ray).
 
@@ -127,7 +126,7 @@ def trace_from_points(prob: Problem, ybar: Sequence[float], points,
     skipped = 0
     for x in points:
         try:
-            records.append(make_record(prob, ybar, x, cfg))
+            records.append(make_record(prob, ybar, x))
         except InfeasiblePointError:
             skipped += 1
     if not records:
@@ -138,8 +137,7 @@ def trace_from_points(prob: Problem, ybar: Sequence[float], points,
 # -- sphere-constrained Pareto subproblems ------------------------------------
 
 def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
-                       ybar: Sequence[float], start: np.ndarray,
-                       cfg: RunConfig):
+                       ybar: Sequence[float], start: np.ndarray):
     """Minimize the weighted objective sum over S, the radius-r sphere, and
     (for finite ybar components) the section f_k <= ybar_k.
 
@@ -152,15 +150,15 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     _, G, H = prob.maps
     local = Problem.local(prob.n, objective, [*G, sphere], [*H, *cuts.values()])
     # the loose tier scales with r: degenerate constraint sets keep the raw
-    # violation above tol_feas at large radii no matter the penalty; the
+    # violation above TOL_FEAS at large radii no matter the penalty; the
     # Gauss-Newton polish and the final absolute acceptance gate restore
     # record-level accuracy afterwards
     return minimize_auglag(
         local, start,
-        tol_feas=cfg.tol_feas,
-        tol_feas_loose=cfg.tol_feas * max(1.0, r),
+        tol_feas=TOL_FEAS,
+        tol_feas_loose=TOL_FEAS * max(1.0, r),
         gtol=1e-9,
-        divergence_cap=max(cfg.divergence_cap, 10.0 * r),
+        divergence_cap=max(DIVERGENCE_CAP, 10.0 * r),
     )
 
 
@@ -250,7 +248,7 @@ def _trace_chain(prob, ybar, weights, c, cfg) -> tuple[TraceResult, tuple[int, l
         if status != "point":
             continue
         probes.append((r, x))
-        rec = make_record(prob, ybar, x, cfg)
+        rec = make_record(prob, ybar, x)
         chain.coverage_radii.append(r)
         prev = x
         if rec.below_ybar:
@@ -259,7 +257,7 @@ def _trace_chain(prob, ybar, weights, c, cfg) -> tuple[TraceResult, tuple[int, l
             chain.filtered_radii.append(r)
     failures = []
     for r, x in probes:
-        report = mfcq_probe(prob, x, cfg)
+        report = mfcq_probe(prob, x)
         if not report.holds:
             failures.append({"radius": r, "x": [float(t) for t in x],
                              "gradient_rank": report.gradient_rank, "margin": report.margin})
@@ -275,14 +273,14 @@ def _chain_weight_draws(p: int, count: int, rng) -> list[np.ndarray]:
     return draws
 
 
-def _slice_point_ok(prob, x, r, ybar, cfg):
-    if not _slice_ok(prob, x, r, cfg):
+def _slice_point_ok(prob, x, r, ybar):
+    if not _slice_ok(prob, x, r):
         return False
     # section cuts must stay satisfied when the trace is filtered to them
-    return below_ybar(prob.f(x), ybar, _ybar_slack(r, cfg))
+    return below_ybar(prob.f(x), ybar, _ybar_slack(r))
 
 
-def _finish_point(prob, r, weights, ybar, x, cfg, active_from=None):
+def _finish_point(prob, r, weights, ybar, x, active_from=None):
     """The KKT polish, then the slice polish unless the KKT-polished point
     is on the slice to rounding level: it passes `_slice_ok` and its slice
     residual has norm at most eps. There the slice polish's Gauss-Newton,
@@ -290,16 +288,15 @@ def _finish_point(prob, r, weights, ybar, x, cfg, active_from=None):
     point along the slice, which flipped `in_tangency` flags. A point that
     passes `_slice_ok` with a larger residual, as on the degenerate line
     far out, is still pinned by it."""
-    refined = _kkt_polish(prob, r, weights, ybar, x, cfg,
-                          active_from=active_from)
+    refined = _kkt_polish(prob, r, weights, ybar, x, active_from=active_from)
     if refined is not None:
         x = refined
-    if refined is None or not _slice_ok(prob, x, r, cfg) \
+    if refined is None or not _slice_ok(prob, x, r) \
             or float(np.linalg.norm(_slice_residual(prob, r)(x)[0])) > _EPS:
-        polished = polish_to_slice(prob, x, r, cfg)
+        polished = polish_to_slice(prob, x, r)
         if polished is not None:
             x = polished
-    return x if _slice_point_ok(prob, x, r, ybar, cfg) else None
+    return x if _slice_point_ok(prob, x, r, ybar) else None
 
 
 def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
@@ -314,7 +311,7 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
     guess = None
     if warm is not None and np.linalg.norm(warm) > 1e-12:
         guess = warm * (r / np.linalg.norm(warm))
-        x = _finish_point(prob, r, weights, ybar, guess, cfg, active_from=warm)
+        x = _finish_point(prob, r, weights, ybar, guess, active_from=warm)
         if x is not None:
             return "point", x, []
 
@@ -328,7 +325,7 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
         if projected:
             starts.append(start)
         try:
-            res = _sphere_subproblem(prob, r, weights, ybar, start, cfg)
+            res = _sphere_subproblem(prob, r, weights, ybar, start)
         except (DivergenceError, NonFiniteError):
             continue
         if res.outcome == "infeasible":
@@ -339,7 +336,7 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
             continue
         if res.outcome != "converged":
             continue
-        x = _finish_point(prob, r, weights, ybar, res.x, cfg)
+        x = _finish_point(prob, r, weights, ybar, res.x)
         if x is not None:
             return "point", x, starts
     if len(starts) >= 2 and infeasible_votes == len(starts):
@@ -347,7 +344,7 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
     return "failed", None, starts
 
 
-def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
+def _kkt_polish(prob, r, weights, ybar, x0, active_from=None):
     """Newton (damped, exact Hessians) on the active-set KKT system of the
     sphere subproblem.
 
@@ -365,7 +362,7 @@ def _kkt_polish(prob, r, weights, ybar, x0, cfg, active_from=None):
 
     probe = x0 if active_from is None else np.asarray(active_from, dtype=float)
     fv0, _, hv0, _, _, _ = prob.evaluate(probe)
-    window = max(cfg.tol_active, cfg.tol_feas * max(1.0, r) * 10.0)
+    window = max(TOL_ACTIVE, TOL_FEAS * max(1.0, r) * 10.0)
     active_h = [j for j in range(prob.m) if hv0[j] <= window * (1.0 + abs(hv0[j]))]
     active_cut = [k for k in cuts if ybar[k] - fv0[k] <= window * max(1.0, abs(ybar[k]))]
 
@@ -422,8 +419,11 @@ def _newton_stall(residual, jacobian, z0):
     """Backtracking Newton on a square system, row-equilibrated and solved by
     least squares: KKT systems on large spheres are too ill-conditioned for
     normal equations. Halves each step until the residual norm decreases and
-    stops once `step_below_resolution(step * d, z)` holds (halving cannot
-    make it useful) or after 60 Newton steps.
+    stops once every component of `step * d` is below its own coordinate's
+    float resolution, |dz_i| <= eps * |z_i| (halving cannot make it useful),
+    or after 60 Newton steps. The test is componentwise, not normwise as in
+    `step_below_resolution`: far out, a coordinate that should be 0 is tiny
+    next to |z|, and a normwise stop would leave it where it is.
 
     `residual(z)` returns the residual and the partial results that
     `jacobian(z, partial)` builds the Jacobian from. Only the points a step
@@ -444,7 +444,7 @@ def _newton_stall(residual, jacobian, z0):
         improved = False
         for _ in range(25):
             dz = step * d
-            if step_below_resolution(dz, z):
+            if np.all(np.abs(dz) <= _EPS * np.abs(z)):
                 break
             z_new = z + dz
             res_new, partial_new = residual(z_new)
@@ -510,18 +510,17 @@ def _relative_spread(fs: np.ndarray) -> float:
     return float((span / scale).max())
 
 
-def _vanishing_trend(records: list[TraceRecord], key: str, cfg: RunConfig) -> bool:
+def _vanishing_trend(records: list[TraceRecord], key: str) -> bool:
     top = records[-1].radius
     window = [getattr(r, key) for r in records if r.radius >= top / 100.0]
     if len(window) < 2:
         return False
-    last_ok = window[-1] <= cfg.tol_limit
+    last_ok = window[-1] <= TOL_LIMIT
     monotone = all(b <= a * _TREND_SLACK for a, b in zip(window, window[1:]))
     return last_ok and monotone
 
 
-def _candidates(traces: list[TraceResult], top_radius: float,
-                cfg: RunConfig) -> list[_Candidate]:
+def _candidates(traces: list[TraceResult], top_radius: float) -> list[_Candidate]:
     out = []
     for tr in traces:
         recs = sorted((r for r in tr.records if r.below_ybar),
@@ -534,14 +533,14 @@ def _candidates(traces: list[TraceResult], top_radius: float,
             continue
         tail = recs[-max(2, math.ceil(len(recs) / 4)):]
         fs = np.array([r.f_value for r in tail])
-        if _relative_spread(fs) >= cfg.tol_cluster:
+        if _relative_spread(fs) >= TOL_CLUSTER:
             continue
         limit = tuple(float(t) for t in fs.mean(axis=0))
         witness = FailureWitness(limit=limit, records=tuple(recs), source=tr.label)
         out.append(_Candidate(
             witness=witness,
-            rabier_trend=_vanishing_trend(recs, "rabier", cfg),
-            scaled_trend=_vanishing_trend(recs, "scaled_rabier", cfg),
+            rabier_trend=_vanishing_trend(recs, "rabier"),
+            scaled_trend=_vanishing_trend(recs, "scaled_rabier"),
             all_in_tangency=all(r.in_tangency for r in recs),
         ))
     # deterministic, order-independent preference among witnesses
@@ -573,7 +572,7 @@ def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult]
 
     top_attained = max(max(tr.coverage_radii, default=0.0) for tr in traces)
     covered = _coverage(traces, cfg.radii()[-1])
-    cands = _candidates(traces, top_attained, cfg)
+    cands = _candidates(traces, top_attained)
 
     # each condition's witness is the first candidate that fails it
     failing: dict[str, FailureWitness] = {}
@@ -608,8 +607,7 @@ def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult]
 
 
 def _coverage(traces: Sequence[TraceResult], top: float) -> bool:
-    radii = sorted({r for tr in traces if tr.counts_for_coverage
-                    for r in tr.coverage_radii})
+    radii = sorted({r for tr in traces for r in tr.coverage_radii})
     return (len(radii) >= 4 and radii[-1] >= 0.99 * top
             and radii[-1] >= radii[0] * 10 ** _COVERAGE_DECADES)
 

@@ -2,10 +2,12 @@
 the Mangasarian-Fromovitz direction probe.
 
 All three take a feasible point of a Problem and are pure functions of
-(problem, point, config); a point whose values or Jacobians are not finite
-is rejected with NonFiniteError. Complementarity is enforced through the
-activity tolerance: an inequality multiplier is free (and nonnegative) only
-for constraints with |h_j(x)| <= tol_active, and pinned to zero otherwise.
+(problem, point): feasibility and activity are judged at `problem.TOL_FEAS`
+and `problem.TOL_ACTIVE`, ranks, membership and margins at this module's
+constants. A point whose values or Jacobians are not finite is rejected
+with NonFiniteError. Complementarity is enforced through the activity
+tolerance: an inequality multiplier is free (and nonnegative) only for
+constraints with |h_j(x)| <= TOL_ACTIVE, and pinned to zero otherwise.
 
 All three certificates run on one exact least-norm kernel
 (`solvers.min_norm_simplex_cone`) after eliminating their free multipliers
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InfeasiblePointError
 from .problem import Problem, _feasibility, evaluate_finite
 from .solvers import min_norm_simplex_cone
@@ -78,11 +79,19 @@ class MfcqReport:
 # needs multipliers ~1e8 and collapses the least-norm value spuriously
 _NOISE_FLOOR = 1e-7
 
+# the singular-value cutoff of a rank decision, relative to the data's scale
+TOL_RANK = 1e-10
+# a tangency residual (relative to the gradient sizes) at most TOL_MEMBERSHIP
+# is a member
+TOL_MEMBERSHIP = 1e-7
+# an MFCQ direction needs a Euclidean margin above TOL_MARGIN
+TOL_MARGIN = 1e-9
 
-def _require_feasible(prob: Problem, x, cfg: RunConfig):
+
+def _require_feasible(prob: Problem, x):
     """Feasibility report and the evaluation (f, g, h, Jf, Jg, Jh) at x."""
     values = evaluate_finite(prob, x)
-    report = _feasibility(values[1], values[2], cfg.tol_feas, cfg.tol_active)
+    report = _feasibility(values[1], values[2])
     if not report.feasible:
         raise InfeasiblePointError(
             f"point is infeasible (eq violation {report.max_equality_violation:.3e}, "
@@ -109,7 +118,7 @@ def _gradient_scale(F, G, x) -> float:
     return max(parts)
 
 
-def rabier_value(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> RabierResult:
+def rabier_value(prob: Problem, x) -> RabierResult:
     """Least residual norm of a simplex-weighted objective-gradient
     combination minus a conic combination of constraint gradients.
 
@@ -119,12 +128,12 @@ def rabier_value(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> RabierRes
     span(G); the reduced problem is one exact simplex/cone kernel solve.
     """
     x = prob._point(x)
-    report, values = _require_feasible(prob, x, cfg)
+    report, values = _require_feasible(prob, x)
     active = report.active
     F, G, H = _gradient_blocks(prob, values, active)
     p, na = prob.p, len(active)
 
-    floor = max(cfg.tol_rank, _NOISE_FLOOR) * _gradient_scale(F, G, x)
+    floor = _NOISE_FLOOR * _gradient_scale(F, G, x)
     lam_solve = None
     if G.shape[1]:
         # orthonormal basis of span(G) at numerical rank; the cutoff is
@@ -164,8 +173,7 @@ def rabier_value(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> RabierRes
     return RabierResult(value=float(np.linalg.norm(residual)), minimizer=minimizer)
 
 
-def tangency_membership(prob: Problem, x,
-                        cfg: RunConfig = DEFAULT_CONFIG) -> MembershipResult:
+def tangency_membership(prob: Problem, x) -> MembershipResult:
     """Decide whether some nonzero (tau, lam, nu, mu) with tau >= 0, nu >= 0
     complementary balances F tau - G lam - H nu - mu x = 0.
 
@@ -174,13 +182,13 @@ def tangency_membership(prob: Problem, x,
     magnitudes and membership is invariant under rescaling the data. The
     free multipliers (lam, mu) are eliminated by projecting onto the
     orthogonal complement of span([G x]). If [G x] is rank-deficient (its
-    least singular value <= tol_membership) the point is a member through
+    least singular value <= TOL_MEMBERSHIP) the point is a member through
     (lam, mu) alone; otherwise (tau, nu) range over the unit simplex and one
     exact kernel solve gives the residual. The witness is reported for the
     unscaled gradients with |tau| + |lam| + |nu| + |mu| = 1.
     """
     x = prob._point(x)
-    report, values = _require_feasible(prob, x, cfg)
+    report, values = _require_feasible(prob, x)
     active = report.active
     F, G, H = _gradient_blocks(prob, values, active)
     p, l, na = prob.p, prob.l, len(active)
@@ -189,12 +197,11 @@ def tangency_membership(prob: Problem, x,
     col_norms = np.linalg.norm(base_cols, axis=0)
     biggest = float(np.max(col_norms, initial=0.0))
     col_scale = np.maximum(col_norms, 1e-12 * max(1.0, biggest))
-    threshold = cfg.tol_membership
     unit = base_cols / col_scale[None, :]
     free = np.hstack([unit[:, p:p + l], unit[:, -1:]])     # scaled [G x]
 
     U, sv, Vt = np.linalg.svd(free)
-    if l + 1 > prob.n or sv[-1] <= threshold:
+    if l + 1 > prob.n or sv[-1] <= TOL_MEMBERSHIP:
         # (lam, mu) alone balance: tau = nu = 0
         z = np.zeros(p + l + na + 1)
         z[p:p + l] = Vt[-1, :l]
@@ -216,15 +223,15 @@ def tangency_membership(prob: Problem, x,
     for slot, j in enumerate(active):
         nu[j] = z_true[p + l + slot]
     mu = z_true[-1]
-    is_member = residual <= threshold
+    is_member = residual <= TOL_MEMBERSHIP
     witness = MultiplierVector(tau=tuple(tau), lam=tuple(lam),
                                nu=tuple(nu), mu=float(mu)) if is_member else None
     return MembershipResult(is_member=is_member, residual=float(residual),
-                            threshold=float(threshold), witness=witness,
+                            threshold=TOL_MEMBERSHIP, witness=witness,
                             tau_weight=float(np.sum(tau)))
 
 
-def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
+def mfcq_probe(prob: Problem, x) -> MfcqReport:
     """Check the Mangasarian-Fromovitz conditions at a feasible point:
     equality gradients of full rank plus a direction v with <grad g_i, v> = 0
     and <grad h_j, v> > 0 for active j.
@@ -234,18 +241,18 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
     misses the origin (Gordan's alternative). One kernel solve with every
     projected column on the simplex gives the hull's nearest point w; w/|w|
     is the unit direction of largest worst-case margin, and that margin is
-    |w| (Wolfe, Math. Program. 11, 1976). MFCQ holds iff |w| > tol_margin;
+    |w| (Wolfe, Math. Program. 11, 1976). MFCQ holds iff |w| > TOL_MARGIN;
     the witness is w/|w| and the margin min(Jh_A @ witness), |w| up to
     rounding. A failed direction test reports |w| as its margin.
     """
     x = prob._point(x)
-    report, (_, _, _, _, Jg, Jh) = _require_feasible(prob, x, cfg)
+    report, (_, _, _, _, Jg, Jh) = _require_feasible(prob, x)
     active = report.active
     l = prob.l
 
     if l:
         _, sv, Vt = np.linalg.svd(Jg, full_matrices=False)
-        floor = cfg.tol_rank * max(1.0, float(np.linalg.norm(x)), float(sv[0]))
+        floor = TOL_RANK * max(1.0, float(np.linalg.norm(x)), float(sv[0]))
         rank = int(np.sum(sv > floor))
     else:
         rank = 0
@@ -262,7 +269,7 @@ def mfcq_probe(prob: Problem, x, cfg: RunConfig = DEFAULT_CONFIG) -> MfcqReport:
         # rank == l here, so the rows of Vt span the row space of Jg
         H = H - Vt.T @ (Vt @ H)
     z, size = min_norm_simplex_cone(H, len(active))
-    if size <= cfg.tol_margin:
+    if size <= TOL_MARGIN:
         return MfcqReport(holds=False, gradient_rank=rank, witness=None,
                           margin=size, active=active)
     unit = (H @ z) / size

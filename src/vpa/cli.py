@@ -168,19 +168,19 @@ def _resolve_ybar(args, file_ybar, p):
 def _cmd_eval(prob, ybar, point, cfg, outdir):
     f, g, h, _, _, _ = evaluate_finite(prob, point)
     return {"f": list(f), "g": list(g), "h": list(h),
-            "feasibility": _feasibility(g, h, cfg.tol_feas, cfg.tol_active)}
+            "feasibility": _feasibility(g, h)}
 
 
 def _cmd_rabier(prob, ybar, point, cfg, outdir):
-    return {"rabier": rabier_value(prob, point, cfg)}
+    return {"rabier": rabier_value(prob, point)}
 
 
 def _cmd_mfcq(prob, ybar, point, cfg, outdir):
-    return {"mfcq": mfcq_probe(prob, point, cfg)}
+    return {"mfcq": mfcq_probe(prob, point)}
 
 
 def _cmd_tangency(prob, ybar, point, cfg, outdir):
-    return {"tangency": tangency_membership(prob, point, cfg)}
+    return {"tangency": tangency_membership(prob, point)}
 
 
 def _write_output(path: Path, text: str) -> None:

@@ -28,12 +28,15 @@ from .errors import (ClassifyError, DivergenceError, NonFiniteError,
                      SectionError, SolveError, TraceError, VpaError)
 from .pipeline import Stage, run
 from .polynomials import _combine, _product
-from .problem import Problem, check_feasible
-from .solvers import _auglag_lanes, minimize_auglag, simplex_lattice
+from .problem import TOL_ACTIVE, TOL_FEAS, Problem, check_feasible
+from .solvers import DIVERGENCE_CAP, _auglag_lanes, minimize_auglag, simplex_lattice
 
 STATUS_GUARANTEED = "existence guaranteed (evidence)"
 STATUS_INAPPLICABLE = "theorem inapplicable"
 STATUS_UNVERIFIED = "hypothesis unverified"
+
+# a scalarized solve's point is stationary when its Rabier value is at most this
+TOL_STATIONARY = 1e-6
 
 
 # -- nondominated filtering ----------------------------------------------------
@@ -67,21 +70,20 @@ class ArchiveEntry:
 
 # -- scalarized solving ----------------------------------------------------------
 
-def solve_scalarized(prob: Problem, weights, start,
-                     cfg: RunConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float]:
+def solve_scalarized(prob: Problem, weights, start) -> tuple[np.ndarray, float]:
     """Minimize the weighted objective sum over S from a local start: one
     lane of `_scalarized_lanes`.
 
     Returns (x, rabier residual). Raises DivergenceError when iterates hit
     the norm cap (likely unbounded scalarization), NonFiniteError when a
     value overflows, and SolveError when the local solver stalls or the
-    result is not stationary at tol_stationary.
+    result is not stationary at TOL_STATIONARY.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (prob.p,) or abs(float(weights.sum()) - 1.0) > 1e-9 \
             or np.any(weights < -1e-12):
         raise ValueError("weights must lie on the unit simplex")
-    ((label, value),) = _scalarized_lanes(prob, [(weights, start)], cfg)
+    ((label, value),) = _scalarized_lanes(prob, [(weights, start)])
     if label != "ok":
         raise value
     return value
@@ -92,7 +94,7 @@ _FAILURES = ("not stationary", "infeasible", "iteration limit", "diverged",
              "non-finite")
 
 
-def _scalarized_lanes(prob: Problem, draws, cfg: RunConfig) -> list[tuple]:
+def _scalarized_lanes(prob: Problem, draws) -> list[tuple]:
     """The weighted-sum solves of `draws`, (weights, start) pairs, as lanes
     of one `solvers._auglag_lanes` run on prob's own table: each lane
     applies its weights to the objective rows.
@@ -104,14 +106,14 @@ def _scalarized_lanes(prob: Problem, draws, cfg: RunConfig) -> list[tuple]:
     results = _auglag_lanes(
         prob._evaluate_batch, [x0 for _, x0 in draws], (prob.p, prob.l, prob.m),
         weights,
-        tol_feas=cfg.tol_feas, gtol=1e-9, divergence_cap=cfg.divergence_cap)
-    return [_scalarized_outcome(prob, res, cfg) for res in results]
+        tol_feas=TOL_FEAS, gtol=1e-9, divergence_cap=DIVERGENCE_CAP)
+    return [_scalarized_outcome(prob, res) for res in results]
 
 
-def _scalarized_outcome(prob: Problem, res, cfg: RunConfig) -> tuple:
+def _scalarized_outcome(prob: Problem, res) -> tuple:
     """One lane's label and value. A converged lane's point is feasible:
     its violation came from the product row, which is `prob.evaluate`'s
-    vector bit for bit, at tol_feas."""
+    vector bit for bit, at TOL_FEAS."""
     if isinstance(res, DivergenceError):
         return "diverged", res
     if isinstance(res, NonFiniteError):
@@ -120,8 +122,8 @@ def _scalarized_outcome(prob: Problem, res, cfg: RunConfig) -> tuple:
         return res.outcome.replace("_", " "), SolveError(
             f"scalarized solve did not converge (outcome {res.outcome}, "
             f"violation {res.violation:.3e})")
-    residual = rabier_value(prob, res.x, cfg).value
-    if residual > cfg.tol_stationary:
+    residual = rabier_value(prob, res.x).value
+    if residual > TOL_STATIONARY:
         return "not stationary", SolveError(
             f"scalarized solve is not stationary (rabier residual {residual:.3e})")
     return "ok", (res.x, residual)
@@ -176,7 +178,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
                 continue
             x, residual = value
             fval = prob.f(x)
-            if not below_ybar(fval, ybar, cfg.tol_active):
+            if not below_ybar(fval, ybar, TOL_ACTIVE):
                 continue
             out.append(ArchiveEntry(
                 x=tuple(float(t) for t in x),
@@ -190,7 +192,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
             raise SolveError(f"all {len(draws)} scalarized runs failed ({counts})")
         return [out[i] for i in nondominated_filter([e.f for e in out])]
 
-    return Stage(((_scalarized_lanes, (prob, draws, cfg)),), archive)
+    return Stage(((_scalarized_lanes, (prob, draws)),), archive)
 
 
 # -- section probing --------------------------------------------------------------
@@ -211,7 +213,7 @@ class SectionReport:
     section_values: list[tuple[float, ...]] = field(default_factory=list)
 
 
-def _section_descent(prob: Problem, ybar, start, cfg: RunConfig):
+def _section_descent(prob: Problem, ybar, start):
     """Push max_k(f_k - ybar_k) down over S via the epigraph formulation:
     minimize t subject to x in S and t + ybar_k - f_k >= 0 for finite k,
     t the (n+1)-th variable."""
@@ -221,11 +223,8 @@ def _section_descent(prob: Problem, ybar, start, cfg: RunConfig):
     cuts = [lift(c) | t for c in _cut_rows(prob, ybar).values()]
     local = Problem.local(prob.n + 1, t, map(lift, G), [*map(lift, H), *cuts])
     z0 = np.append(np.asarray(start, dtype=float), 1.0)
-    return minimize_auglag(
-        local, z0,
-        tol_feas=cfg.tol_feas, gtol=1e-9,
-        divergence_cap=cfg.divergence_cap,
-    )
+    return minimize_auglag(local, z0, tol_feas=TOL_FEAS, gtol=1e-9,
+                           divergence_cap=DIVERGENCE_CAP)
 
 
 def section_probe(prob: Problem, ybar: Sequence[float],
@@ -263,26 +262,25 @@ def _descent_samples(prob: Problem, ybar, start, cfg: RunConfig) -> tuple[int, l
     cap. A descent that hit the cap left along a direction where the values
     may escape, so that direction is checked at every radius below, too."""
     try:
-        res = _section_descent(prob, ybar, start, cfg)
+        res = _section_descent(prob, ybar, start)
     except NonFiniteError:
         return 0, []
     except DivergenceError as exc:     # its point is where it hit the cap
         x = exc.point[:prob.n]
         norm = float(np.linalg.norm(x))
         return _section_samples(prob, ybar, [x * (r / norm) for r in cfg.radii()
-                                             if r < norm] + [x], cfg)
+                                             if r < norm] + [x])
     if not res.converged:
         return 1, []
-    return _section_samples(prob, ybar, [res.x[:prob.n]], cfg)
+    return _section_samples(prob, ybar, [res.x[:prob.n]])
 
 
-def _section_samples(prob: Problem, ybar, points, cfg: RunConfig) -> tuple[int, list]:
+def _section_samples(prob: Problem, ybar, points) -> tuple[int, list]:
     """(points checked, (norm, x, f(x)) of each feasible point below ybar)."""
     out = []
     for x in points:
         fv = prob.f(x)
-        if below_ybar(fv, ybar, cfg.tol_active) and \
-                check_feasible(prob, x, cfg.tol_feas, cfg.tol_active).feasible:
+        if below_ybar(fv, ybar, TOL_ACTIVE) and check_feasible(prob, x).feasible:
             out.append((float(np.linalg.norm(x)), x, fv))
     return len(points), out
 
@@ -292,9 +290,9 @@ def _section_report(prob: Problem, ybar, descents: list[tuple[int, list]],
     """The section evidence of the descents' samples and of the records of
     `chain_stage`'s result that pass the section's own test. A record's
     `below_ybar` flag has the slack `_ybar_slack(radius)`, which grows with
-    the radius, so each record is tested again at tol_active."""
+    the radius, so each record is tested again at TOL_ACTIVE."""
     points = [rec.point for rec in flatten_records(chain for chain, _ in chains)]
-    parts = [*descents, _section_samples(prob, ybar, points, cfg)]
+    parts = [*descents, _section_samples(prob, ybar, points)]
     checked = sum(count for count, _ in parts)
     samples = [sample for _, found in parts for sample in found]
     if not samples:
@@ -406,9 +404,8 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
     for attempt in range(4):
         start = np.ones(prob.n) if attempt == 0 else 2.0 * rng.standard_normal(prob.n)
         try:
-            res = minimize_auglag(
-                local, start, tol_feas=cfg.tol_feas, gtol=1e-10,
-                divergence_cap=cfg.divergence_cap)
+            res = minimize_auglag(local, start, tol_feas=TOL_FEAS, gtol=1e-10,
+                                  divergence_cap=DIVERGENCE_CAP)
         except (DivergenceError, NonFiniteError):
             continue
         if not res.converged:

@@ -21,6 +21,12 @@ from .errors import (DimensionMismatchError, NonFiniteError,
 from .polynomials import MAX_VARS, Polynomial, _partials, parse
 from .solvers import gauss_newton, random_unit_vector
 
+# feasibility: max |g| and max(0, -h) at most TOL_FEAS; an inequality with
+# |h_j| <= TOL_ACTIVE is active
+TOL_FEAS, TOL_ACTIVE = 1e-8, 1e-6
+# the Gauss-Newton steps of one sphere-slice projection attempt
+PROJECTION_MAX_ITER = 200
+
 
 @dataclass(eq=False)
 class Problem:
@@ -195,8 +201,8 @@ def evaluate_finite(prob: Problem, x) -> tuple[np.ndarray, ...]:
     return values
 
 
-def check_feasible(prob: Problem, x, tol_feas: float = DEFAULT_CONFIG.tol_feas,
-                   tol_active: float = DEFAULT_CONFIG.tol_active) -> FeasibilityReport:
+def check_feasible(prob: Problem, x, tol_feas: float = TOL_FEAS,
+                   tol_active: float = TOL_ACTIVE) -> FeasibilityReport:
     """Violations are max_i |g_i(x)| and max_j max(0, -h_j(x))."""
     if tol_feas <= 0:
         raise ValueError("tol_feas must be positive")
@@ -204,7 +210,8 @@ def check_feasible(prob: Problem, x, tol_feas: float = DEFAULT_CONFIG.tol_feas,
     return _feasibility(gv, hv, tol_feas, tol_active)
 
 
-def _feasibility(gv, hv, tol_feas: float, tol_active: float) -> FeasibilityReport:
+def _feasibility(gv, hv, tol_feas: float = TOL_FEAS,
+                 tol_active: float = TOL_ACTIVE) -> FeasibilityReport:
     """`check_feasible`'s report from the values g(x), h(x) already in hand."""
     eq_viol = float(np.max(np.abs(gv))) if gv.size else 0.0
     ineq_viol = max(0.0, float(np.max(-hv))) if hv.size else 0.0
@@ -240,9 +247,9 @@ def _slice_residual(prob: Problem, r: float):
     return res_jac
 
 
-def _slice_ok(prob: Problem, x, r: float, cfg: RunConfig) -> bool:
-    report = check_feasible(prob, x, cfg.tol_feas, cfg.tol_active)
-    return report.feasible and abs(float(np.linalg.norm(x)) - r) <= cfg.tol_feas * r
+def _slice_ok(prob: Problem, x, r: float) -> bool:
+    return (check_feasible(prob, x).feasible
+            and abs(float(np.linalg.norm(x)) - r) <= TOL_FEAS * r)
 
 
 def project_to_sphere_slice(prob: Problem, r: float, x0,
@@ -258,7 +265,7 @@ def project_to_sphere_slice(prob: Problem, r: float, x0,
         raise ValueError("radius must be positive")
     x0 = prob._point(x0)
     res_jac = _slice_residual(prob, r)
-    accept = lambda x: _slice_ok(prob, x, r, cfg)
+    accept = lambda x: _slice_ok(prob, x, r)
 
     rng = np.random.default_rng([cfg.seed, 0x511CE] if seed is None
                                 else [cfg.seed, 0x511CE, *np.atleast_1d(seed)])
@@ -268,7 +275,7 @@ def project_to_sphere_slice(prob: Problem, r: float, x0,
         start = r * random_unit_vector(rng, prob.n)
     for attempt in range(1 + cfg.projection_restarts):
         x, ok, resnorm = gauss_newton(res_jac, start, accept=accept,
-                                      max_iter=cfg.projection_max_iter)
+                                      max_iter=PROJECTION_MAX_ITER)
         if ok:
             return x
         if resnorm < best_res:
@@ -280,8 +287,7 @@ def project_to_sphere_slice(prob: Problem, r: float, x0,
         best_residual=best_res, best_point=best_x)
 
 
-def polish_to_slice(prob: Problem, x, r: float,
-                    cfg: RunConfig = DEFAULT_CONFIG) -> np.ndarray | None:
+def polish_to_slice(prob: Problem, x, r: float) -> np.ndarray | None:
     """Drive a near-feasible point onto S intersect S_r as far as floats allow.
 
     Runs damped Gauss-Newton to a step stall instead of stopping at the value
@@ -297,7 +303,7 @@ def polish_to_slice(prob: Problem, x, r: float,
                                   max_iter=100)
     if np.linalg.norm(polished - x) > 1e-2 * (1.0 + r):
         return None
-    if not _slice_ok(prob, polished, r, cfg):
+    if not _slice_ok(prob, polished, r):
         return None
     return polished
 

@@ -90,6 +90,9 @@ _EPS = np.finfo(float).eps
 # RHO_GROWTH up to RHO_MAX)
 MAX_OUTER, INNER_MAXITER = 30, 300
 RHO0, RHO_GROWTH, RHO_MAX = 10.0, 10.0, 1e12
+# the norm cap of the local solves (`divergence_cap`): iterates that reach it
+# are taken to diverge
+DIVERGENCE_CAP = 1e6
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:

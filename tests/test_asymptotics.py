@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
-from conftest import LIGHT_CONFIG
+from conftest import LIGHT_CONFIG, PROBLEMS
 from test_acceptance import SCHEDULE_CONFIG
-from vpa import Problem, asymptotics, make_record, pipeline
+from vpa import Problem, asymptotics, load_problem, make_record, pipeline
 from vpa.asymptotics import (TraceRecord, TraceResult, classify, flatten_records,
                              trace_csv, trace_from_points, trace_tangency)
 from vpa.errors import ClassifyError, ProjectionError, TraceError
+from vpa.pareto import STATUS_INAPPLICABLE, existence_verdict
 from vpa.polynomials import Polynomial
 from vpa.problem import _slice_residual
 
@@ -122,8 +124,7 @@ class TestTraceTangency:
 
 
 class TestKktPolish:
-    def test_stops_below_float_resolution(self, monkeypatch, hyperbola,
-                                          light_config):
+    def test_stops_below_float_resolution(self, monkeypatch, hyperbola):
         # the augmented Lagrangian's point on a hyperbola chain at r = 10
         # (weights (0, 1)): one Newton step solves the KKT system to
         # rounding level and the next is below z's resolution; a stop only
@@ -139,32 +140,31 @@ class TestKktPolish:
         prob, ybar = hyperbola
         x0 = np.array([9.949376819309283, 0.09950352040113479,
                        -0.9999999996245782])
-        x = asymptotics._kkt_polish(prob, 10.0, np.array([0.0, 1.0]), ybar,
-                                    x0, light_config)
+        x = asymptotics._kkt_polish(prob, 10.0, np.array([0.0, 1.0]), ybar, x0)
         assert len(calls) <= 6
         # on the cut f1 = x3 = -1 and on the sphere
         assert x[2] == pytest.approx(-1.0, abs=1e-12)
         assert np.linalg.norm(x) == pytest.approx(10.0, rel=1e-12)
 
     def test_a_kkt_point_on_the_slice_skips_the_slice_polish(self, monkeypatch,
-                                                             hyperbola, light_config):
+                                                             hyperbola):
         prob, ybar = hyperbola
         weights = np.array([0.0, 1.0])
         x0 = np.array([9.949376819309283, 0.09950352040113479,
                        -0.9999999996245782])
-        kkt = asymptotics._kkt_polish(prob, 10.0, weights, ybar, x0, light_config)
-        assert asymptotics._slice_ok(prob, kkt, 10.0, light_config)
+        kkt = asymptotics._kkt_polish(prob, 10.0, weights, ybar, x0)
+        assert asymptotics._slice_ok(prob, kkt, 10.0)
         residual, _ = _slice_residual(prob, 10.0)(kkt)
         assert np.linalg.norm(residual) <= np.finfo(float).eps
 
         def refuse(*args):
             raise AssertionError("the slice polish ran")
         monkeypatch.setattr(asymptotics, "polish_to_slice", refuse)
-        x = asymptotics._finish_point(prob, 10.0, weights, ybar, x0, light_config)
+        x = asymptotics._finish_point(prob, 10.0, weights, ybar, x0)
         assert x.tobytes() == kkt.tobytes()
 
     def test_a_point_on_the_slice_above_rounding_level_is_polished(
-            self, monkeypatch, degenerate_line, light_config):
+            self, monkeypatch, degenerate_line):
         # near the degenerate line's axis at r = 1e5 every row is far inside
         # the value tolerance (g1 ~ 2.6e-14), but the coordinates x1, x2 and
         # so f = (x2 x3, x1 x3) are still pinned by the slice polish
@@ -172,19 +172,19 @@ class TestKktPolish:
         r = 1e5
         x1, x2 = 1.6e-9, -8e-11
         kkt = np.array([x1, x2, np.sqrt(r * r - x1 * x1 - x2 * x2)])
-        assert asymptotics._slice_ok(prob, kkt, r, light_config)
+        assert asymptotics._slice_ok(prob, kkt, r)
         assert np.linalg.norm(_slice_residual(prob, r)(kkt)[0]) > np.finfo(float).eps
         polished = []
         original = asymptotics.polish_to_slice
         monkeypatch.setattr(asymptotics, "_kkt_polish", lambda *args, **kwargs: kkt)
         monkeypatch.setattr(asymptotics, "polish_to_slice",
                             lambda *args: polished.append(original(*args)) or polished[-1])
-        x = asymptotics._finish_point(prob, r, np.array([0.5, 0.5]), ybar, kkt, light_config)
+        x = asymptotics._finish_point(prob, r, np.array([0.5, 0.5]), ybar, kkt)
         assert len(polished) == 1 and x.tobytes() == polished[0].tobytes()
         assert np.max(np.abs(x[:2])) < 0.5 * np.max(np.abs(kkt[:2]))
 
     def test_the_slice_polish_runs_when_the_kkt_polish_fails(self, monkeypatch,
-                                                             hyperbola, light_config):
+                                                             hyperbola):
         prob, ybar = hyperbola
         x0 = np.array([9.949376819309283, 0.09950352040113479,
                        -0.9999999996245782])
@@ -193,8 +193,7 @@ class TestKktPolish:
         monkeypatch.setattr(asymptotics, "_kkt_polish", lambda *args, **kwargs: None)
         monkeypatch.setattr(asymptotics, "polish_to_slice",
                             lambda *args: polished.append(original(*args)) or polished[-1])
-        x = asymptotics._finish_point(prob, 10.0, np.array([0.0, 1.0]), ybar, x0,
-                                      light_config)
+        x = asymptotics._finish_point(prob, 10.0, np.array([0.0, 1.0]), ybar, x0)
         assert len(polished) == 1 and x.tobytes() == polished[0].tobytes()
 
 
@@ -247,7 +246,7 @@ def newton_with_every_jacobian(residual, jacobian, z0):
         improved = False
         for _ in range(25):
             dz = step * d
-            if asymptotics.step_below_resolution(dz, z):
+            if np.all(np.abs(dz) <= np.finfo(float).eps * np.abs(z)):
                 break
             z_new = z + dz
             res_new, J_new = res_jac(z_new)
@@ -260,6 +259,49 @@ def newton_with_every_jacobian(residual, jacobian, z0):
         if not improved:
             break
     return z
+
+
+class TestFreeMotzkin:
+    """The Motzkin polynomial on R^2, ybar 1.5: f = 1 and grad f = 0 on both
+    axes, so (0, k) is a Palais-Smale, Cerami and tangency sequence with
+    f -> 1 <= ybar, and all four conditions fail."""
+
+    @pytest.fixture(scope="class")
+    def free(self):
+        return load_problem(PROBLEMS / "motzkin_free.json")
+
+    def test_closed_forms_on_the_axes(self, free):
+        prob, _ = free
+        x1, x2, t = sympy.symbols("x1 x2 t")
+        f = sympy.sympify(str(prob.objectives[0]).replace("^", "**"))
+        grad = [sympy.diff(f, v) for v in (x1, x2)]
+        for axis in ({x1: 0, x2: t}, {x1: t, x2: 0}):
+            assert sympy.expand(f.subs(axis)) == 1
+            assert [sympy.expand(g.subs(axis)) for g in grad] == [0, 0]
+        for k in (10.0, 1e5, -1e3):
+            for x in ([0.0, k], [k, 0.0]):
+                fv, _, _, Jf, _, _ = prob.evaluate(x)
+                assert fv.tolist() == [1.0] and Jf.tolist() == [[0.0, 0.0]]
+
+    def test_the_kkt_polish_zeroes_a_small_coordinate_far_out(self, free):
+        # a step of 1e-21 on x1 is below eps * |x| = 2e-11 normwise, so a
+        # normwise stop keeps x1 = 1e-21 and its gradient 2 x1 x2^4 = 0.2
+        prob, ybar = free
+        x = asymptotics._kkt_polish(prob, 1e5, np.array([1.0]), ybar,
+                                    np.array([1e-21, 1e5]))
+        assert x.tolist() == [0.0, 1e5]
+
+    def test_every_condition_fails_at_the_limit_one(self, free, light_config):
+        prob, ybar = free
+        report = existence_verdict(prob, ybar, light_config)
+        assert report.status == STATUS_INAPPLICABLE
+        assert report.failing_hypotheses == ["asymptotic_conditions"]
+        for verdict in report.verdicts.values():
+            assert verdict.status == "fails_witness", verdict.condition
+            assert verdict.witness.limit == (1.0,)
+            assert verdict.witness.propagated_from is None
+            for rec in verdict.witness.records:
+                assert 0.0 in rec.point and rec.rabier == 0.0 and rec.in_tangency
 
 
 class TestClassify:

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from test_polynomials import random_polynomial
 
-from vpa import (DEFAULT_CONFIG, Polynomial, Problem, mfcq_probe, parse,
-                 rabier_value, solvers, tangency_membership)
+from vpa import (Polynomial, Problem, mfcq_probe, parse, rabier_value, solvers,
+                 tangency_membership)
+from vpa.certificates import TOL_MARGIN, TOL_MEMBERSHIP
 from vpa.errors import InfeasiblePointError, KernelError, NonFiniteError
+from vpa.problem import TOL_ACTIVE
 
 
 def unconstrained(expr_list, n):
@@ -110,7 +112,7 @@ class TestTangencyMembership:
             nu = result.witness.nu
             hv = prob.h([2.0, 0.0, -1.0])
             for j, val in enumerate(hv):
-                if abs(val) > DEFAULT_CONFIG.tol_active:
+                if abs(val) > TOL_ACTIVE:
                     assert nu[j] == 0.0
 
     def test_more_free_multipliers_than_dimensions_is_member(self):
@@ -160,7 +162,7 @@ class TestTangencyMembership:
                    - nu @ prob.jac_h(x) - mu * x)
         columns = np.vstack([prob.jac_f(x), prob.jac_g(x), prob.jac_h(x), x])
         scale = float(np.max(np.linalg.norm(columns, axis=1)))
-        assert np.linalg.norm(balance) <= DEFAULT_CONFIG.tol_membership * scale
+        assert np.linalg.norm(balance) <= TOL_MEMBERSHIP * scale
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -236,7 +238,7 @@ class TestMfcqProbe:
         assert not report.holds
         assert report.active == (0, 1) and report.gradient_rank == 0
         assert report.witness is None
-        assert report.margin <= DEFAULT_CONFIG.tol_margin
+        assert report.margin <= TOL_MARGIN
 
     def test_unconstrained_holds_vacuously(self):
         prob = unconstrained(["x1"], 2)
@@ -288,7 +290,7 @@ class TestMfcqProbe:
                      b_eq=np.zeros(l) if l else None,
                      bounds=[(-1.0, 1.0)] * n + [(None, None)], method="highs")
         assert lp.success
-        s_star, tol = float(-lp.fun), DEFAULT_CONFIG.tol_margin
+        s_star, tol = float(-lp.fun), TOL_MARGIN
         assert s_star / math.sqrt(n) - 1e-9 <= report.margin <= s_star + 1e-9
         if not tol < s_star <= math.sqrt(n) * tol:
             assert report.holds == (s_star > tol)

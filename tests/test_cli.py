@@ -79,6 +79,23 @@ class TestPointwiseCommands:
         assert rc == EXIT_OK
         assert report(out, "tangency")["result"]["tangency"]["is_member"] is True
 
+    @pytest.mark.parametrize("command, fixture, at", [
+        ("rabier", "hyperbola", "10,0.1,-1"), ("tangency", "degenerate_line", "0,0,7"),
+        ("mfcq", "motzkin", "0,3")])
+    def test_a_certificate_reads_no_config(self, tmp_path, command, fixture, at):
+        # a certificate is a function of (problem, point): the same result
+        # under the default config and under another one
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(LIGHT_CONFIG.replace(seed=5).to_dict()))
+        results = []
+        for tag, options in (("default", []), ("light", ["--config", config])):
+            out = tmp_path / tag
+            assert run([command, "--problem", PROBLEMS / f"{fixture}.json",
+                        "--at", at, *options, "--out", out]) == EXIT_OK
+            results.append(report(out, command))
+        assert results[0]["config_hash"] != results[1]["config_hash"]
+        assert results[0]["result"] == results[1]["result"]
+
     def test_missing_at_is_input_error(self, tmp_path):
         rc = run(["rabier", "--problem", PROBLEMS / "motzkin.json",
                   "--out", tmp_path / "out"])
@@ -235,25 +252,35 @@ class TestInputValidation:
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"tol_feas": -1}))
+        cfg.write_text(json.dumps({"radius_base": -1}))
         assert run(["eval", "--problem", PROBLEMS / "motzkin.json",
                     "--config", cfg, "--at", "1,1",
                     "--out", tmp_path / "out"]) == EXIT_INPUT
 
+    # the tolerances, the norm cap and the projection's iteration count are
+    # constants, not config fields: a config that names one is refused as an
+    # unknown key, whatever its value
     @pytest.mark.parametrize("data, field", [
-        pytest.param({"divergence_cap": -1.0}, "divergence_cap", id="negative-cap"),
-        pytest.param({"divergence_cap": 0.0}, "divergence_cap", id="zero-cap"),
-        pytest.param({"divergence_cap": math.nan}, "divergence_cap", id="nan-cap"),
-        pytest.param({"tol_feas": math.nan}, "tol_feas", id="nan-tolerance"),
+        pytest.param({"divergence_cap": -1.0}, "unknown config keys: divergence_cap",
+                     id="negative-cap"),
+        pytest.param({"divergence_cap": 0.0}, "unknown config keys: divergence_cap",
+                     id="zero-cap"),
+        pytest.param({"divergence_cap": math.nan}, "unknown config keys: divergence_cap",
+                     id="nan-cap"),
+        pytest.param({"tol_feas": math.nan}, "unknown config keys: tol_feas",
+                     id="nan-tolerance"),
         pytest.param({"radius_factor": math.nan}, "radius schedule", id="nan-factor"),
-        pytest.param({"tol_feas": math.inf}, "tol_feas must be finite", id="inf-tolerance"),
-        pytest.param({"divergence_cap": math.inf}, "divergence_cap must be finite",
+        pytest.param({"tol_feas": math.inf}, "unknown config keys: tol_feas",
+                     id="inf-tolerance"),
+        pytest.param({"divergence_cap": math.inf}, "unknown config keys: divergence_cap",
                      id="inf-cap"),
         pytest.param({"radius_base": math.inf}, "radius_base must be finite", id="inf-base"),
         pytest.param({"radius_factor": math.inf}, "radius_factor must be finite",
                      id="inf-factor"),
-        pytest.param({"tol_margin": 10 ** 400}, "tol_margin must be finite",
+        pytest.param({"tol_margin": 10 ** 400}, "unknown config keys: tol_margin",
                      id="integer-tolerance-overflows"),
+        pytest.param({"radius_base": 10 ** 400}, "radius_base must be finite",
+                     id="integer-base-overflows"),
         pytest.param({"radius_factor": 1e300}, "radius schedule overflows",
                      id="schedule-overflows"),
         pytest.param({"radius_base": 1e308}, "radius schedule overflows",
@@ -273,7 +300,9 @@ class TestInputValidation:
         pytest.param({"seed": -1}, "seed", id="negative-seed"),
         pytest.param({"projection_restarts": -3}, "projection_restarts",
                      id="negative-restarts"),
-        pytest.param({"projection_max_iter": 0}, "budgets", id="no-iterations"),
+        pytest.param({"projection_max_iter": 0}, "unknown config keys: projection_max_iter",
+                     id="no-iterations"),
+        pytest.param({"section_budget": 0}, "budgets", id="no-section-budget"),
     ])
     def test_nan_or_nonpositive_config_value_rejected(self, tmp_path, capsys,
                                                       data, field):
@@ -287,9 +316,13 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("data, message", [
-        pytest.param({"tol_feas": "x"}, "tol_feas must be a number", id="string-tolerance"),
-        pytest.param({"divergence_cap": None}, "divergence_cap must be a number",
+        pytest.param({"tol_feas": "x"}, "unknown config keys: tol_feas",
+                     id="string-tolerance"),
+        pytest.param({"divergence_cap": None}, "unknown config keys: divergence_cap",
                      id="null-cap"),
+        pytest.param({"radius_base": "x"}, "radius_base must be a number", id="string-base"),
+        pytest.param({"radius_factor": None}, "radius_factor must be a number",
+                     id="null-factor"),
         pytest.param({"radius_count": 4.5}, "radius_count must be an integer",
                      id="fractional-count"),
         pytest.param({"section_budget": "8"}, "section_budget must be an integer",
@@ -309,7 +342,7 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
-        pytest.param('{"tol_feas": 1e999}', id="number-overflows"),
+        pytest.param('{"radius_base": 1e999}', id="number-overflows"),
         pytest.param("[" * 100_000, id="nested-too-deeply"),
     ])
     def test_malformed_config_file_is_input_error(self, tmp_path, capsys, text):
@@ -328,6 +361,21 @@ class TestInputValidation:
         assert run(["eval", "--problem", PROBLEMS / "motzkin.json",
                     "--config", cfg, "--at", "1,1",
                     "--out", tmp_path / "out"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol_feas", 1e-8), ("tol_active", 1e-6), ("tol_membership", 1e-7),
+        ("tol_stationary", 1e-6), ("tol_limit", 1e-4), ("tol_cluster", 1e-3),
+        ("tol_rank", 1e-10), ("tol_margin", 1e-9), ("projection_max_iter", 200),
+        ("divergence_cap", 1e6)])
+    def test_a_constant_is_no_config_key(self, tmp_path, capsys, key, value):
+        # each at its constant's value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run(["rabier", "--problem", PROBLEMS / "motzkin.json", "--at", "1,1",
+                    "--config", cfg, "--out", out]) == EXIT_INPUT
+        assert f"unknown config keys: {key}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
     def test_unusable_output_directory_is_input_error(self, tmp_path, capsys, below):

@@ -92,8 +92,7 @@ def kkt_problem(monkeypatch, prob, r, weights, ybar, x0):
     monkeypatch.setattr(Problem, "local", classmethod(local))
     monkeypatch.setattr(asymptotics, "_newton_stall", stop)
     with pytest.raises(Captured) as info:
-        asymptotics._kkt_polish(prob, r, weights, ybar, x0, DEFAULT_CONFIG,
-                                active_from=-np.ones(prob.n))
+        asymptotics._kkt_polish(prob, r, weights, ybar, x0, active_from=-np.ones(prob.n))
     assert len(made) == 1 and made[0].m == 0
     return made[0], *info.value.args
 
@@ -123,7 +122,7 @@ class TestLocalBlocks:
         prob, ybar = fixture(name)
         n, k = prob.n, list(range(prob.p))
         local = solver_problem(monkeypatch, pareto, lambda: pareto._section_descent(
-            prob, ybar, np.ones(n), DEFAULT_CONFIG))
+            prob, ybar, np.ones(n)))
         assert local.n == n + 1
         lift = lambda J: np.hstack([J, np.zeros((len(J), 1))])
         for r, x in points(n, 2):
@@ -149,7 +148,7 @@ class TestLocalBlocks:
         for r, start in points(prob.n, 4):
             local = solver_problem(
                 monkeypatch, asymptotics, lambda: asymptotics._sphere_subproblem(
-                    prob, r, weights, ybar, start, DEFAULT_CONFIG))
+                    prob, r, weights, ybar, start))
             scale = 1.0 + np.max(np.abs(weights @ prob.jac_f(start)))
             for _, x in points(prob.n, 5):
                 x = r * x / np.linalg.norm(x)      # on this subproblem's sphere

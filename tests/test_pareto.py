@@ -11,8 +11,9 @@ from vpa import (DEFAULT_CONFIG, Problem, check_feasible, parse, rabier_value,
 from vpa import asymptotics, pareto, pipeline
 from vpa.errors import (ClassifyError, DivergenceError, NonFiniteError,
                         SectionError, SolveError)
-from vpa.pareto import (ArchiveEntry, classify_evidence, existence_verdict,
-                        nondominated_filter)
+from vpa.certificates import TOL_MARGIN
+from vpa.pareto import (TOL_STATIONARY, ArchiveEntry, classify_evidence,
+                        existence_verdict, nondominated_filter)
 from vpa.cli import main
 from vpa.pipeline import Stage
 
@@ -87,7 +88,7 @@ class TestSolveScalarized:
         prob, _ = motzkin
         x, residual = solve_scalarized(prob, [0.5, 0.5], [2.0, 2.0])
         assert np.allclose(x, [1.0, 1.0], atol=1e-6)
-        assert residual <= DEFAULT_CONFIG.tol_stationary
+        assert residual <= TOL_STATIONARY
 
     def test_scalar_quadratic(self):
         prob = Problem(n=1, objectives=(parse("(x1 - 3)^2", 1),))
@@ -107,7 +108,7 @@ class TestSolveScalarized:
     def test_solutions_have_small_rabier_value(self, motzkin):
         prob, _ = motzkin
         x, _ = solve_scalarized(prob, [0.25, 0.75], [3.0, 0.5])
-        assert rabier_value(prob, x).value <= DEFAULT_CONFIG.tol_stationary
+        assert rabier_value(prob, x).value <= TOL_STATIONARY
 
 
 # the front of the benchmark's hyperbola verdict: 6 weights, 3 starts each
@@ -142,10 +143,10 @@ class TestFrontLanes:
     def test_each_lane_equals_its_solve_alone(self, fixture, request):
         prob, _ = request.getfixturevalue(fixture)
         draws = front_draws(prob)
-        lanes = pareto._scalarized_lanes(prob, draws, LANE_CONFIG)
+        lanes = pareto._scalarized_lanes(prob, draws)
         for (weights, start), lane in zip(draws, lanes, strict=True):
             try:
-                alone = "ok", solve_scalarized(prob, weights, start, LANE_CONFIG)
+                alone = "ok", solve_scalarized(prob, weights, start)
             except (SolveError, DivergenceError) as exc:
                 alone = lane[0], exc
             assert same_outcome(lane, alone), (weights, start)
@@ -155,10 +156,10 @@ class TestFrontLanes:
     def test_a_lane_does_not_depend_on_its_batch_mates(self, fixture, request):
         prob, _ = request.getfixturevalue(fixture)
         draws = front_draws(prob)
-        lanes = pareto._scalarized_lanes(prob, draws, LANE_CONFIG)
+        lanes = pareto._scalarized_lanes(prob, draws)
         order = np.random.default_rng(3).permutation(len(draws))
         for subset in (order, order[: len(draws) // 2], order[::-3]):
-            mixed = pareto._scalarized_lanes(prob, [draws[k] for k in subset], LANE_CONFIG)
+            mixed = pareto._scalarized_lanes(prob, [draws[k] for k in subset])
             assert all(same_outcome(lanes[k], lane) for k, lane in zip(subset, mixed))
 
     def test_an_overflowing_lane_fails_alone(self):
@@ -168,9 +169,9 @@ class TestFrontLanes:
         prob = Problem(n=1, objectives=(parse("x1^400", 1),))
         draws = [(np.ones(1), np.array([10.0])), (np.ones(1), np.array([0.5]))]
         with np.errstate(over="ignore", invalid="ignore"):
-            lanes = pareto._scalarized_lanes(prob, draws, DEFAULT_CONFIG)
+            lanes = pareto._scalarized_lanes(prob, draws)
         assert lanes[0][0] == "non-finite" and isinstance(lanes[0][1], NonFiniteError)
-        alone = pareto._scalarized_lanes(prob, draws[1:], DEFAULT_CONFIG)
+        alone = pareto._scalarized_lanes(prob, draws[1:])
         assert same_outcome(lanes[1], alone[0])
         assert lanes[1][0] == "ok" and lanes[1][1][0].tolist() == [0.5]
 
@@ -209,7 +210,7 @@ class TestSolveFront:
         archive = solve_front(prob, INF2, DEFAULT_CONFIG)
         for entry in archive:
             assert check_feasible(prob, np.array(entry.x)).feasible
-            assert entry.rabier_residual <= DEFAULT_CONFIG.tol_stationary
+            assert entry.rabier_residual <= TOL_STATIONARY
 
     def test_the_archive_is_one_filter_pass_in_draw_order(self, monkeypatch):
         # accepted lanes on a small grid of values, so with dominated
@@ -218,7 +219,7 @@ class TestSolveFront:
         rng = np.random.default_rng(7)
         accepted = []
 
-        def lanes(prob, draws, cfg):
+        def lanes(prob, draws):
             out = []
             for k, (weights, _) in enumerate(draws):
                 if k % 5 == 4:
@@ -386,7 +387,7 @@ class TestMfcqEvidence:
         assert len(evidence.failures) == evidence.points_checked > 0
         for failure in evidence.failures:
             assert failure["gradient_rank"] < 2 \
-                or failure["margin"] <= light_config.tol_margin, failure
+                or failure["margin"] <= TOL_MARGIN, failure
 
     def test_probes_outlive_failed_chains(self, monkeypatch, light_config):
         # when no chain resolves a radius the verdict notes it, but the

@@ -339,7 +339,7 @@ class TestProjection:
         monkeypatch.setattr(Problem, "evaluate", counted)
         x = polish_to_slice(prob, [-5.8e-15, -5.8e-15, 10.0], 10.0)
         assert len(calls) <= 3
-        assert x is not None and _slice_ok(prob, x, 10.0, DEFAULT_CONFIG)
+        assert x is not None and _slice_ok(prob, x, 10.0)
 
 
 class TestProblemFiles:

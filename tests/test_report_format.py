@@ -146,3 +146,11 @@ class TestConfigHash:
         cfg = RunConfig(seed=1)
         assert cfg.replace(seed=2).config_hash() != cfg.config_hash()
         assert cfg.replace(seed=1).config_hash() == cfg.config_hash()
+
+    def test_a_config_holds_the_schedule_the_seed_and_the_budgets(self):
+        # the tolerances are constants of the modules that decide with them,
+        # so a report's config block holds nine fields
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "radius_base", "radius_factor", "radius_count", "seed",
+            "weights_per_radius", "weight_grid", "starts_per_weight",
+            "section_budget", "projection_restarts"]
