@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -71,13 +72,13 @@ class TraceResult:
 
     coverage_radii holds every scheduled radius where the subproblem was
     resolved: either a point was produced or the below-ybar slice was judged
-    empty (positive evidence).
+    empty (positive evidence). A chain's records are its points, one per
+    radius that produced one; each passed `_finish_point`'s below-ybar gate.
     """
     label: str
     records: list[TraceRecord] = field(default_factory=list)
     attempted_radii: list[float] = field(default_factory=list)
     coverage_radii: list[float] = field(default_factory=list)
-    filtered_radii: list[float] = field(default_factory=list)
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord],
@@ -157,7 +158,6 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
         local, start,
         tol_feas=TOL_FEAS,
         tol_feas_loose=TOL_FEAS * max(1.0, r),
-        gtol=1e-9,
         divergence_cap=max(DIVERGENCE_CAP, 10.0 * r),
     )
 
@@ -242,19 +242,15 @@ def _trace_chain(prob, ybar, weights, c, cfg) -> tuple[TraceResult, tuple[int, l
         probes.extend((r, start) for start in starts)
         if status == "empty":
             # the below-ybar slice at this radius looks empty from every
-            # restart: resolved coverage with no point
+            # projected start: resolved coverage with no point
             chain.coverage_radii.append(r)
             continue
         if status != "point":
             continue
         probes.append((r, x))
-        rec = make_record(prob, ybar, x)
+        chain.records.append(make_record(prob, ybar, x))
         chain.coverage_radii.append(r)
         prev = x
-        if rec.below_ybar:
-            chain.records.append(rec)
-        else:
-            chain.filtered_radii.append(r)
     failures = []
     for r, x in probes:
         report = mfcq_probe(prob, x)
@@ -299,14 +295,21 @@ def _finish_point(prob, r, weights, ybar, x, active_from=None):
     return x if _slice_point_ok(prob, x, r, ybar) else None
 
 
+# a radius solves from at most _ATTEMPTS starts, projected from at most
+# _DIRECTIONS seeded directions
+_ATTEMPTS, _DIRECTIONS = 3, 27
+
+
 def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
     """One (radius, weight) subproblem: Newton continuation from the warm
-    point when available, otherwise augmented-Lagrangian attempts from
-    projected starts.
+    point when available, otherwise augmented-Lagrangian attempts from the
+    starts of `_radius_starts`, at most _ATTEMPTS of them, until one gives
+    a point.
 
-    Returns ("point", x) on success, ("empty", None) when every projected
-    attempt reports an infeasible slice, ("failed", None) otherwise, each
-    with the list of projected starts that reached the slice.
+    Returns ("point", x) on success, ("empty", None) when at least two
+    projected starts were tried and every one found the slice infeasible,
+    ("failed", None) otherwise, each with the list of projected starts that
+    were tried (all on the slice).
     """
     guess = None
     if warm is not None and np.linalg.norm(warm) > 1e-12:
@@ -317,11 +320,8 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
 
     starts = []
     infeasible_votes = 0
-    for attempt in range(3):
-        if attempt == 0 and guess is not None:
-            start, projected = guess, False
-        else:
-            start, projected = _chain_start(prob, r, cfg, seed=[*seed, attempt])
+    for start, projected in itertools.islice(
+            _radius_starts(prob, r, guess, cfg, seed), _ATTEMPTS):
         if projected:
             starts.append(start)
         try:
@@ -330,9 +330,8 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
             continue
         if res.outcome == "infeasible":
             # emptiness evidence only counts from a start that actually sat
-            # on S intersect S_r; anything else is just a failed solve
-            if projected:
-                infeasible_votes += 1
+            # on S intersect S_r; the warm guess's solve is just a failed one
+            infeasible_votes += projected
             continue
         if res.outcome != "converged":
             continue
@@ -342,6 +341,22 @@ def _resolve_radius(prob, r, weights, ybar, warm, cfg, seed):
     if len(starts) >= 2 and infeasible_votes == len(starts):
         return "empty", None, starts
     return "failed", None, starts
+
+
+def _radius_starts(prob, r, guess, cfg, seed):
+    """The starts of one radius as (start, projected) pairs: the warm guess
+    when there is one, then `project_to_sphere_slice` of r * direction k,
+    the seeded direction of `[cfg.seed, *seed, k]`, for k below _DIRECTIONS.
+    A direction whose projection fails gives no start."""
+    if guess is not None:
+        yield guess, False
+    for k in range(_DIRECTIONS):
+        direction = random_unit_vector(np.random.default_rng([cfg.seed, *seed, k]), prob.n)
+        try:
+            start = project_to_sphere_slice(prob, r, r * direction)
+        except ProjectionError:
+            continue
+        yield start, True
 
 
 def _kkt_polish(prob, r, weights, ybar, x0, active_from=None):
@@ -457,20 +472,6 @@ def _newton_stall(residual, jacobian, z0):
         if not improved:
             break
     return z
-
-
-def _chain_start(prob, r, cfg, seed):
-    """Seeded start on (or near) the slice; the flag says whether the
-    projection actually succeeded."""
-    try:
-        x = project_to_sphere_slice(
-            prob, r,
-            r * random_unit_vector(np.random.default_rng([cfg.seed, *seed]), prob.n),
-            cfg, seed=seed)
-        return x, True
-    except ProjectionError:
-        rng = np.random.default_rng([cfg.seed, 0xFA11, *seed])
-        return r * random_unit_vector(rng, prob.n), False
 
 
 def flatten_records(traces: Iterable[TraceResult]) -> list[TraceRecord]:

@@ -36,7 +36,6 @@ class RunConfig:
     weight_grid: int = 5
     starts_per_weight: int = 4
     section_budget: int = 32
-    projection_restarts: int = 8
 
     def __post_init__(self):
         # the counts and the seed are the fields whose default is an int
@@ -52,8 +51,8 @@ class RunConfig:
             raise ValueError("radius schedule needs at least 4 entries")
         if not (self.radius_base > 0 and self.radius_factor > 1):
             raise ValueError("radius schedule must be positive and increasing")
-        if min(self.seed, self.projection_restarts) < 0:
-            raise ValueError("seed and projection_restarts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if min(self.weights_per_radius, self.weight_grid, self.starts_per_weight,
                self.section_budget) < 1:
             raise ValueError("budgets must be at least 1")

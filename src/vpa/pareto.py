@@ -25,11 +25,11 @@ from .asymptotics import (TraceResult, below_ybar, chain_stage, classify,
 from .certificates import rabier_value
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ClassifyError, DivergenceError, NonFiniteError,
-                     SectionError, SolveError, TraceError, VpaError)
+                     SectionError, SolveError, TraceError)
 from .pipeline import Stage, run
 from .polynomials import _combine, _product
 from .problem import TOL_ACTIVE, TOL_FEAS, Problem, check_feasible
-from .solvers import DIVERGENCE_CAP, _auglag_lanes, minimize_auglag, simplex_lattice
+from .solvers import _auglag_lanes, minimize_auglag, simplex_lattice
 
 STATUS_GUARANTEED = "existence guaranteed (evidence)"
 STATUS_INAPPLICABLE = "theorem inapplicable"
@@ -105,8 +105,7 @@ def _scalarized_lanes(prob: Problem, draws) -> list[tuple]:
     weights = np.array([w for w, _ in draws], dtype=float)
     results = _auglag_lanes(
         prob._evaluate_batch, [x0 for _, x0 in draws], (prob.p, prob.l, prob.m),
-        weights,
-        tol_feas=TOL_FEAS, gtol=1e-9, divergence_cap=DIVERGENCE_CAP)
+        weights, tol_feas=TOL_FEAS)
     return [_scalarized_outcome(prob, res) for res in results]
 
 
@@ -223,8 +222,7 @@ def _section_descent(prob: Problem, ybar, start):
     cuts = [lift(c) | t for c in _cut_rows(prob, ybar).values()]
     local = Problem.local(prob.n + 1, t, map(lift, G), [*map(lift, H), *cuts])
     z0 = np.append(np.asarray(start, dtype=float), 1.0)
-    return minimize_auglag(local, z0, tol_feas=TOL_FEAS, gtol=1e-9,
-                           divergence_cap=DIVERGENCE_CAP)
+    return minimize_auglag(local, z0, tol_feas=TOL_FEAS)
 
 
 def section_probe(prob: Problem, ybar: Sequence[float],
@@ -404,8 +402,7 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
     for attempt in range(4):
         start = np.ones(prob.n) if attempt == 0 else 2.0 * rng.standard_normal(prob.n)
         try:
-            res = minimize_auglag(local, start, tol_feas=TOL_FEAS, gtol=1e-10,
-                                  divergence_cap=DIVERGENCE_CAP)
+            res = minimize_auglag(local, start, tol_feas=TOL_FEAS, gtol=1e-10)
         except (DivergenceError, NonFiniteError):
             continue
         if not res.converged:
@@ -447,7 +444,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
         try:
             section = _section_report(prob, ybar, read_descents(), chains, cfg)
             section_bounded = section.bounded_evidence
-        except VpaError as exc:
+        except SectionError as exc:
             notes.append(f"section probe failed: {exc}")
             section_bounded = False
     else:
@@ -455,17 +452,17 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
                      "reduces to classification coverage")
         section_bounded = True
 
+    verdicts = {}
     try:
         traces = covered_chains(chains)
     except TraceError as exc:
         traces = []
         notes.append(f"sphere tracking failed: {exc}")
-
-    try:
-        verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=mfcq.holds)
-    except ClassifyError as exc:
-        verdicts = {}
-        notes.append(f"classification failed: {exc}")
+    if traces:
+        try:
+            verdicts = classify(prob, ybar, traces, cfg, mfcq_holds=mfcq.holds)
+        except ClassifyError as exc:
+            notes.append(f"classification failed: {exc}")
 
     try:
         archive = read_front()

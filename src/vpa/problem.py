@@ -11,20 +11,18 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, NonFiniteError,
                      ProblemValidationError, ProjectionError)
 from .polynomials import MAX_VARS, Polynomial, _partials, parse
-from .solvers import gauss_newton, random_unit_vector
+from .solvers import gauss_newton
 
 # feasibility: max |g| and max(0, -h) at most TOL_FEAS; an inequality with
 # |h_j| <= TOL_ACTIVE is active
 TOL_FEAS, TOL_ACTIVE = 1e-8, 1e-6
-# the Gauss-Newton steps of one sphere-slice projection attempt
+# the Gauss-Newton steps of one sphere-slice projection
 PROJECTION_MAX_ITER = 200
 
 
@@ -252,39 +250,25 @@ def _slice_ok(prob: Problem, x, r: float) -> bool:
             and abs(float(np.linalg.norm(x)) - r) <= TOL_FEAS * r)
 
 
-def project_to_sphere_slice(prob: Problem, r: float, x0,
-                            cfg: RunConfig = DEFAULT_CONFIG,
-                            seed: int | Sequence[int] | None = None) -> np.ndarray:
-    """Locally project x0 onto S intersect {||x|| = r} by damped Gauss-Newton.
+def project_to_sphere_slice(prob: Problem, r: float, x0) -> np.ndarray:
+    """Locally project x0 onto S intersect {||x|| = r}: one damped
+    Gauss-Newton run from x0 of at most PROJECTION_MAX_ITER steps.
 
-    Failure means the local search did not converge, not that the slice is
-    empty.  Seeded random restarts (cfg.projection_restarts) run before
-    giving up.
+    Failure means this local search did not converge, not that the slice
+    is empty; the ProjectionError carries the run's final residual norm and
+    point as `best_residual` and `best_point`.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    x0 = prob._point(x0)
-    res_jac = _slice_residual(prob, r)
-    accept = lambda x: _slice_ok(prob, x, r)
-
-    rng = np.random.default_rng([cfg.seed, 0x511CE] if seed is None
-                                else [cfg.seed, 0x511CE, *np.atleast_1d(seed)])
-    best_x, best_res = None, math.inf
-    start = x0.copy()
-    if np.linalg.norm(start) < 1e-12:
-        start = r * random_unit_vector(rng, prob.n)
-    for attempt in range(1 + cfg.projection_restarts):
-        x, ok, resnorm = gauss_newton(res_jac, start, accept=accept,
-                                      max_iter=PROJECTION_MAX_ITER)
-        if ok:
-            return x
-        if resnorm < best_res:
-            best_x, best_res = x, resnorm
-        start = r * random_unit_vector(rng, prob.n)
+    x, ok, resnorm = gauss_newton(_slice_residual(prob, r), prob._point(x0),
+                                  accept=lambda x: _slice_ok(prob, x, r),
+                                  max_iter=PROJECTION_MAX_ITER)
+    if ok:
+        return x
     raise ProjectionError(
         f"projection onto the radius-{r:g} slice did not converge "
-        f"(best residual {best_res:.3e})",
-        best_residual=best_res, best_point=best_x)
+        f"(residual {resnorm:.3e})",
+        best_residual=resnorm, best_point=x)
 
 
 def polish_to_slice(prob: Problem, x, r: float) -> np.ndarray | None:

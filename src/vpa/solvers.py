@@ -197,9 +197,8 @@ def gauss_newton(res_jac, x0, *, accept,
 
 def _lbfgsb(x0, cap, maxiter):
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) from x0, each coordinate
-    boxed to [-cap, cap] when cap is finite, as a generator: it yields each
-    point it needs evaluated, is sent `(value, gradient)` there, and
-    returns the final x.
+    boxed to [-cap, cap], as a generator: it yields each point it needs
+    evaluated, is sent `(value, gradient)` there, and returns the final x.
 
     Reverse communication with scipy's compiled step, exactly as
     `scipy.optimize.minimize(method="L-BFGS-B", jac=True)` with maxcor=10,
@@ -211,12 +210,8 @@ def _lbfgsb(x0, cap, maxiter):
     m, maxls, maxfun = 10, 20, 15000
     factr, pgtol = 1e-16 / _EPS, 1e-12
     n = x0.size
-    if np.isfinite(cap):
-        nbd, lo, hi = np.full(n, 2, np.int32), np.full(n, -cap), np.full(n, cap)
-        x = np.clip(x0, lo, hi)
-    else:
-        nbd, lo, hi = np.zeros(n, np.int32), np.zeros(n), np.zeros(n)
-        x = np.array(x0, dtype=np.float64)
+    nbd, lo, hi = np.full(n, 2, np.int32), np.full(n, -cap), np.full(n, cap)
+    x = np.clip(x0, lo, hi)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task, lsave = (np.zeros(k, np.int32) for k in (2, 2, 4))
@@ -278,7 +273,7 @@ def minimize_auglag(local, x0, **options) -> AuglagResult:
 
 def _auglag_lanes(product, starts, sizes, weights=None, *,
                   tol_feas: float = 1e-8, tol_feas_loose: float | None = None,
-                  gtol: float = 1e-9, divergence_cap: float | None = None) -> list:
+                  gtol: float = 1e-9, divergence_cap: float = DIVERGENCE_CAP) -> list:
     """The augmented Lagrangian from each start, as lanes in lockstep.
 
     Each lane is a PHR iteration whose subproblems `_lbfgsb` minimizes (at
@@ -307,7 +302,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
     NonFiniteError it ended with. Raises ValueError on a negative
     divergence_cap (an empty box).
     """
-    if divergence_cap is not None and divergence_cap < 0:
+    if divergence_cap < 0:
         raise ValueError(f"divergence_cap must be nonnegative, got {divergence_cap}")
     P, L, M = sizes
     count = len(starts)
@@ -320,7 +315,6 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
     CAP = np.hstack([np.full((count, P + L), np.inf), np.zeros((count, M))])
     high = np.r_[np.full(P + L, np.inf), np.zeros(M)]
     loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
-    bound = divergence_cap if divergence_cap is not None else np.inf
 
     def phr(x, y, nu, penalty, cap):
         """One lane: the PHR iteration from x, as a generator. It yields
@@ -337,10 +331,10 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
         feasible_stall = 0
         outcome = "iteration_limit"
         for outer in range(1, MAX_OUTER + 1):
-            x = yield from _lbfgsb(x, bound, INNER_MAXITER)
-            if np.isfinite(bound) and float(np.max(np.abs(x))) >= 0.999 * bound:
+            x = yield from _lbfgsb(x, divergence_cap, INNER_MAXITER)
+            if float(np.max(np.abs(x))) >= 0.999 * divergence_cap:
                 raise DivergenceError(
-                    f"iterates reached the norm cap {bound:g}; "
+                    f"iterates reached the norm cap {divergence_cap:g}; "
                     "the subproblem is likely unbounded", point=x)
             _, ev, cv, Jf, Je, Jc, al_grad = yield (x,)
             viol = max(0.0, float(np.max(np.abs(ev), initial=0.0)),

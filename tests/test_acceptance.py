@@ -236,8 +236,7 @@ def test_criterion_inclusion_chain_consistency(degenerate_line, hyperbola,
     and on 50 random problems."""
     with criterion("inclusion-chain"):
         cfg = DEFAULT_CONFIG.replace(radius_factor=10.0, radius_count=4,
-                                     weights_per_radius=2,
-                                     projection_restarts=2)
+                                     weights_per_radius=2)
         fixtures = [degenerate_line, hyperbola, motzkin]
         checked = 0
         for prob, ybar in fixtures:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from vpa.asymptotics import (TraceRecord, TraceResult, classify, flatten_records
 from vpa.errors import ClassifyError, ProjectionError, TraceError
 from vpa.pareto import STATUS_INAPPLICABLE, existence_verdict
 from vpa.polynomials import Polynomial
-from vpa.problem import _slice_residual
+from vpa.problem import _slice_residual, project_to_sphere_slice
+from vpa.solvers import random_unit_vector
 
 INF = (math.inf, math.inf)
 
@@ -413,22 +415,126 @@ class TestCsvExport:
         assert [row[1] for row in rows[1:]] == ["1e-15", "-1e-15", "5.0"]
 
 
-class TestChainStart:
-    def test_projection_failure_falls_back_to_a_random_start(
-            self, monkeypatch, motzkin, light_config):
-        def fail(*args, **kwargs):
-            raise ProjectionError("no convergence")
-        monkeypatch.setattr(asymptotics, "project_to_sphere_slice", fail)
-        prob, _ = motzkin
-        x, projected = asymptotics._chain_start(prob, 10.0, light_config, seed=[1, 2])
-        assert not projected
-        assert np.linalg.norm(x) == pytest.approx(10.0)
+def on_sphere(prob, r, x0):
+    """A stub projection: the seeded starts already lie on the sphere."""
+    return np.array(x0)
 
-    def test_bug_in_projection_propagates(self, monkeypatch, motzkin,
-                                          light_config):
+
+class TestResolveRadius:
+    """One radius of a chain without a warm point: solves from projected
+    starts, direction k seeded by [cfg.seed, *seed, k]."""
+    SEED = [1, 0, 0]
+
+    def direction_start(self, prob, r, k):
+        rng = np.random.default_rng([LIGHT_CONFIG.seed, *self.SEED, k])
+        return r * random_unit_vector(rng, prob.n)
+
+    def resolve(self, prob, ybar, r=10.0):
+        return asymptotics._resolve_radius(prob, r, np.full(prob.p, 1.0 / prob.p),
+                                           ybar, None, LIGHT_CONFIG, self.SEED)
+
+    def counted_projection(self, monkeypatch, fails, land=None):
+        """A projection that fails where `fails(call)` holds and otherwise
+        lands where `land` does (the real projection by default); returns
+        the projections' starting points, one per call."""
+        land = land or asymptotics.project_to_sphere_slice
+        calls = []
+
+        def projection(prob, r, x0):
+            calls.append(np.array(x0))
+            if fails(len(calls) - 1):
+                raise ProjectionError("no convergence")
+            return land(prob, r, x0)
+        monkeypatch.setattr(asymptotics, "project_to_sphere_slice", projection)
+        return calls
+
+    def stub_solves(self, monkeypatch, outcome):
+        solved = []
+
+        def solve(prob, r, weights, ybar, start):
+            solved.append(start)
+            return SimpleNamespace(outcome=outcome)
+        monkeypatch.setattr(asymptotics, "_sphere_subproblem", solve)
+        return solved
+
+    def test_a_failed_projection_is_skipped_for_the_next_direction(
+            self, monkeypatch, hyperbola):
+        prob, ybar = hyperbola
+        calls = self.counted_projection(monkeypatch, lambda call: call == 0)
+        solve, solved = asymptotics._sphere_subproblem, []
+        monkeypatch.setattr(asymptotics, "_sphere_subproblem",
+                            lambda *args: solved.append(args[-1]) or solve(*args))
+        status, x, starts = self.resolve(prob, ybar)
+        assert status == "point"
+        assert [c.tolist() for c in calls] == [
+            self.direction_start(prob, 10.0, k).tolist() for k in (0, 1)]
+        expected = project_to_sphere_slice(prob, 10.0, self.direction_start(prob, 10.0, 1))
+        assert len(starts) == 1 and np.array_equal(starts[0], expected)
+        assert len(solved) == 1 and solved[0] is starts[0]
+
+    def test_bug_in_projection_propagates(self, monkeypatch, motzkin):
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
         monkeypatch.setattr(asymptotics, "project_to_sphere_slice", broken)
-        prob, _ = motzkin
+        prob, ybar = motzkin
         with pytest.raises(RuntimeError, match="bug"):
-            asymptotics._chain_start(prob, 10.0, light_config, seed=[1, 2])
+            self.resolve(prob, ybar)
+
+    def test_one_infeasible_start_is_no_emptiness(self, monkeypatch, motzkin):
+        # every direction but the first fails to project: one vote is too
+        # few to judge the slice empty
+        prob, ybar = motzkin
+        calls = self.counted_projection(monkeypatch, lambda call: call > 0, on_sphere)
+        solved = self.stub_solves(monkeypatch, "infeasible")
+        status, x, starts = self.resolve(prob, ybar)
+        assert (status, x) == ("failed", None)
+        assert len(starts) == 1 and solved == starts
+        assert len(calls) == asymptotics._DIRECTIONS
+
+    def test_infeasible_projected_starts_make_the_slice_empty(self, monkeypatch, motzkin):
+        prob, ybar = motzkin
+        calls = self.counted_projection(monkeypatch, lambda call: call % 2 == 0,
+                                        on_sphere)
+        solved = self.stub_solves(monkeypatch, "infeasible")
+        status, x, starts = self.resolve(prob, ybar)
+        assert (status, x) == ("empty", None)
+        assert len(starts) == asymptotics._ATTEMPTS and solved == starts
+        assert len(calls) == 2 * asymptotics._ATTEMPTS
+
+    def test_the_warm_guess_counts_as_an_attempt_but_never_votes(
+            self, monkeypatch, motzkin):
+        # continuation fails, so the warm guess is solved first; its
+        # infeasible solve leaves two projected starts, which decide alone
+        prob, ybar = motzkin
+        monkeypatch.setattr(asymptotics, "_finish_point", lambda *a, **k: None)
+        calls = self.counted_projection(monkeypatch, lambda call: False, on_sphere)
+        solved = self.stub_solves(monkeypatch, "infeasible")
+        warm = np.array([3.0, 4.0])
+        status, x, starts = asymptotics._resolve_radius(
+            prob, 10.0, np.full(2, 0.5), ybar, warm, LIGHT_CONFIG, self.SEED)
+        assert (status, x) == ("empty", None)
+        assert solved[0].tolist() == [6.0, 8.0] and solved[1:] == starts
+        assert len(calls) == len(starts) == asymptotics._ATTEMPTS - 1
+
+    def test_projections_are_bounded_when_every_one_fails(self, monkeypatch, motzkin):
+        prob, ybar = motzkin
+        calls = self.counted_projection(monkeypatch, lambda call: True)
+        solved = self.stub_solves(monkeypatch, "converged")
+        assert self.resolve(prob, ybar) == ("failed", None, [])
+        assert len(calls) == asymptotics._DIRECTIONS and not solved
+
+    def test_a_chain_starts_from_direction_zero(self, monkeypatch, hyperbola):
+        # the first radius of a chain has no warm point; its first projection
+        # lands, so its start is the projection of direction 0
+        prob, ybar = hyperbola
+        cfg = LIGHT_CONFIG
+        landed = []
+        real = asymptotics.project_to_sphere_slice
+        monkeypatch.setattr(asymptotics, "project_to_sphere_slice",
+                            lambda *args: landed.append(real(*args)) or landed[-1])
+        r = cfg.radii()[0]
+        chain, _ = asymptotics._trace_chain(prob, ybar, np.array([0.5, 0.5]), 0, cfg)
+        assert chain.coverage_radii == cfg.radii()
+        rng = np.random.default_rng([cfg.seed, asymptotics._CHAIN_SEED, 0, 0, 0])
+        direct = project_to_sphere_slice(prob, r, r * random_unit_vector(rng, prob.n))
+        assert np.array_equal(landed[0], direct)

@@ -298,7 +298,7 @@ class TestInputValidation:
         pytest.param({"radius_base": 1e300, "radius_factor": 1.5, "radius_count": 4},
                      "radius schedule overflows: the square", id="square-overflows"),
         pytest.param({"seed": -1}, "seed", id="negative-seed"),
-        pytest.param({"projection_restarts": -3}, "projection_restarts",
+        pytest.param({"projection_restarts": -3}, "unknown config keys: projection_restarts",
                      id="negative-restarts"),
         pytest.param({"projection_max_iter": 0}, "unknown config keys: projection_max_iter",
                      id="no-iterations"),

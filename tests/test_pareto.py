@@ -179,8 +179,7 @@ class TestFrontLanes:
         prob = Problem(n=1, objectives=(parse("x1", 1),),
                        equalities=(parse("x1", 1),),
                        inequalities=(parse("x1 - 1", 1),))
-        cfg = DEFAULT_CONFIG.replace(weight_grid=2, starts_per_weight=2,
-                                     projection_restarts=1)
+        cfg = DEFAULT_CONFIG.replace(weight_grid=2, starts_per_weight=2)
         with pytest.raises(SolveError,
                            match=r"^all 2 scalarized runs failed \(2 infeasible\)$"):
             solve_front(prob, (math.inf,), cfg)
@@ -240,8 +239,7 @@ class TestSolveFront:
         prob = Problem(n=1, objectives=(parse("x1", 1),),
                        equalities=(parse("x1", 1),),
                        inequalities=(parse("x1 - 1", 1),))
-        cfg = DEFAULT_CONFIG.replace(weight_grid=2, starts_per_weight=2,
-                                     projection_restarts=1)
+        cfg = DEFAULT_CONFIG.replace(weight_grid=2, starts_per_weight=2)
         with pytest.raises(SolveError, match="failed"):
             solve_front(prob, (math.inf,), cfg)
 
@@ -399,7 +397,10 @@ class TestMfcqEvidence:
                             lambda *a, **k: Stage((), lambda values: []))
         prob = Problem(n=1, objectives=(parse("x1^2", 1),))
         report = existence_verdict(prob, (math.inf,), light_config)
-        assert any(note.startswith("sphere tracking failed") for note in report.notes)
+        # one cause, one note: no classification runs on no traces
+        assert [note for note in report.notes if "failed" in note] == [
+            "sphere tracking failed: no radius converged in any chain"]
+        assert report.verdicts == {}
         assert (report.mfcq.holds, report.mfcq.points_checked) == (False, 3)
         assert report.mfcq.failures == probes[1]
 
@@ -425,6 +426,16 @@ class TestExistenceVerdict:
         report = existence_verdict(prob, (math.inf,), light_config)
         assert report.verdicts == {}
         assert "classification failed: no evidence" in report.notes
+
+    def test_section_error_becomes_a_note(self, cheap_stages, light_config):
+        # x1^2 never falls below -1, so the descents find no section point
+        prob = Problem(n=1, objectives=(parse("x1^2", 1),))
+        report = existence_verdict(prob, (-1.0,), light_config)
+        assert report.section is None
+        assert "bounded_section_evidence" in report.failing_hypotheses
+        assert [note for note in report.notes if note.startswith("section")] == [
+            "section probe failed: no section point found; ybar may be outside "
+            "the reachable image"]
 
     def test_bug_in_classify_propagates(self, monkeypatch, cheap_stages,
                                         light_config):

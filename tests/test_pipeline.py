@@ -21,7 +21,8 @@ from conftest import assert_reports_reencode
 from vpa import DEFAULT_CONFIG, Problem, load_problem, parse, pareto, pipeline
 from vpa.asymptotics import trace_tangency
 from vpa.cli import main
-from vpa.errors import DivergenceError, ParseError, ProjectionError, VpaError
+from vpa.errors import (DimensionMismatchError, DivergenceError, ParseError,
+                        ProjectionError, VpaError)
 from vpa.pareto import existence_verdict, solve_front
 from vpa.pipeline import Stage
 
@@ -154,6 +155,19 @@ class TestRunner:
             monkeypatch, lambda: existence_verdict(prob, (math.inf,), TINY_CONFIG))
         assert reports[0] == reports[1]
         assert any(note.startswith("front sweep failed") for note in reports[0].notes)
+
+    def test_untyped_section_unit_error_propagates(self, monkeypatch):
+        # the verdict notes a SectionError only; any other error of a
+        # descent unit is a bug and reaches the caller
+        def broken(*args):
+            raise DimensionMismatchError("bug in a descent")
+        monkeypatch.setattr(pareto, "_section_descent", broken)
+        prob = Problem(n=1, objectives=(parse("x1^2", 1),))
+        for pool in (False, True):
+            use_pool(monkeypatch, pool)
+            with deadline(120), pytest.raises(DimensionMismatchError,
+                                              match="^bug in a descent$"):
+                existence_verdict(prob, (1.0,), TINY_CONFIG)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux")

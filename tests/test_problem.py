@@ -9,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_polynomials import random_polynomial
 
-from vpa import (DEFAULT_CONFIG, Problem, check_feasible, load_problem,
-                 parse, problem_from_dict, project_to_sphere_slice)
+from vpa import (Problem, check_feasible, load_problem, parse, problem,
+                 problem_from_dict, project_to_sphere_slice)
 from vpa.errors import (DimensionMismatchError, ParseError, ProblemValidationError,
                         ProjectionError)
 from vpa.polynomials import MAX_VARS, Polynomial, _combine, _partial
 from vpa.problem import _slice_ok, _table_product, parse_ybar, polish_to_slice
+from vpa.solvers import gauss_newton
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 FIXTURES = ("motzkin", "hyperbola", "degenerate_line")
@@ -295,12 +296,21 @@ class TestProjection:
         x = project_to_sphere_slice(prob, 2.0, [1.0, 0.0, 0.0])
         assert np.allclose(x, [2.0, 0.0, 0.0])
 
-    def test_empty_slice_fails_with_residual(self):
-        cfg = DEFAULT_CONFIG.replace(projection_restarts=2)
+    def test_empty_slice_fails_with_residual(self, monkeypatch):
+        # one Gauss-Newton run, whose final residual and point the error carries
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(gauss_newton(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(problem, "gauss_newton", counted)
         with pytest.raises(ProjectionError) as err:
-            project_to_sphere_slice(empty_feasible_problem(), 3.0,
-                                    [1.0, 1.0], cfg)
-        assert err.value.best_residual > 0
+            project_to_sphere_slice(empty_feasible_problem(), 3.0, [1.0, 1.0])
+        assert len(runs) == 1
+        x, accepted, residual = runs[0]
+        assert not accepted and residual > 0
+        assert err.value.best_residual == residual
+        assert np.array_equal(err.value.best_point, x)
 
     def test_stagnating_projection_stops_early(self, monkeypatch, hyperbola):
         # the first projection of the hyperbola's MFCQ evidence: Gauss-Newton
@@ -314,10 +324,9 @@ class TestProjection:
             calls.append(1)
             return _evaluate(self, x)
         monkeypatch.setattr(Problem, "evaluate", counted)
-        cfg = DEFAULT_CONFIG.replace(projection_restarts=0)
         x0 = [4.404883391016934, -8.97591288384077, 0.17317682652254446]
         with pytest.raises(ProjectionError) as err:
-            project_to_sphere_slice(prob, 10.0, x0, cfg)
+            project_to_sphere_slice(prob, 10.0, x0)
         assert err.value.best_residual > 1.0
         assert len(calls) <= 160
 

@@ -149,8 +149,8 @@ class TestConfigHash:
 
     def test_a_config_holds_the_schedule_the_seed_and_the_budgets(self):
         # the tolerances are constants of the modules that decide with them,
-        # so a report's config block holds nine fields
+        # so a report's config block holds eight fields
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
             "radius_base", "radius_factor", "radius_count", "seed",
             "weights_per_radius", "weight_grid", "starts_per_weight",
-            "section_budget", "projection_restarts"]
+            "section_budget"]
