@@ -2,10 +2,11 @@
 """Profile the Rabier value along sphere-tracked Pareto points.
 
 For a problem file, tracks weighted Pareto points over the radius schedule
-and prints (plus optionally saves) one row per record: radius, f-values,
-v(x), ||x||*v(x), tangency membership. Growth of v against the radius is
-the telltale of a constraint qualification failure at infinity; a vanishing
-column is a Palais-Smale failure witness candidate.
+and prints each chain's weight and the status of each radius (point, empty
+or failed), then (and optionally saves) one row per record: radius,
+f-values, v(x), ||x||*v(x), tangency membership. Growth of v against the
+radius is the telltale of a constraint qualification failure at infinity; a
+vanishing column is a Palais-Smale failure witness candidate.
 
 Usage: python scripts/rabier_radius_profile.py problems/hyperbola.json \
            [--ybar=-1,2] [--decades 4] [--csv out.csv]
@@ -65,8 +66,10 @@ def main():
               + f" {'rabier':>12s} {'scaled':>12s} tang below")
     print(f"problem: {args.problem}  ybar: {ybar}")
     for trace in traces:
-        print(f"-- {trace.label} "
-              f"(resolved {len(trace.coverage_radii)}/{len(trace.attempted_radii)} radii)")
+        weight = ", ".join(f"{w:.4f}" for w in trace.weight)
+        print(f"-- {trace.label} (weight {weight}; resolved "
+              f"{len(trace.coverage_radii)}/{len(trace.outcomes)} radii)")
+        print("   " + " ".join(f"{o.radius:.4g}:{o.status}" for o in trace.outcomes))
         print(header)
         for rec in trace.records:
             fvals = " ".join(f"{v:12.4e}" for v in rec.f_value)

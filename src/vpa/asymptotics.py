@@ -7,8 +7,8 @@ points of randomly weighted objectives on S intersect spheres of the radii
 `cfg.radii()` (warm-started continuation), and user-supplied custom rays.
 Each point is summarised in a TraceRecord carrying the Rabier value, its
 radius-scaled variant, and tangency membership. The chains are also the one
-source of far-out points of S: each chain probes MFCQ at every point it
-produced and at every projected start that reached its slice.
+source of far-out points of S: a chain's trace holds one RadiusOutcome per
+scheduled radius, with the MFCQ probes the chain made at that radius.
 Classification searches the traces for diverging, f-convergent subsequences
 below ybar whose defining quantity vanishes (or stays in the tangency
 variety), and reports holds_evidence / fails_witness / inconclusive per
@@ -22,7 +22,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,27 +66,41 @@ class TraceRecord:
     below_ybar: bool
 
 
-@dataclass
-class TraceResult:
-    """One coherent sequence of trace records plus gathering bookkeeping.
+@dataclass(frozen=True)
+class RadiusOutcome:
+    """What a chain decided at one radius: "point" (with its record), "empty"
+    (the below-ybar slice was judged empty: resolved coverage, no point) or
+    "failed", and how many MFCQ probes it made there, with their failures."""
+    radius: float
+    status: str
+    record: TraceRecord | None = None
+    probes: int = 0
+    failures: tuple[dict, ...] = ()
 
-    coverage_radii holds every scheduled radius where the subproblem was
-    resolved: either a point was produced or the below-ybar slice was judged
-    empty (positive evidence). A chain's records are its points, one per
-    radius that produced one; each passed `_finish_point`'s below-ybar gate.
-    """
+
+@dataclass(frozen=True)
+class TraceResult:
+    """A chain's weight (None for a trace built by hand) and its outcomes,
+    one per scheduled radius. Its records, one per point, each passed
+    `_finish_point`'s below-ybar gate; its coverage radii are the resolved
+    ones, a point or an empty slice."""
     label: str
-    records: list[TraceRecord] = field(default_factory=list)
-    attempted_radii: list[float] = field(default_factory=list)
-    coverage_radii: list[float] = field(default_factory=list)
+    weight: tuple[float, ...] | None
+    outcomes: tuple[RadiusOutcome, ...]
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        return [o.record for o in self.outcomes if o.status == "point"]
+
+    @property
+    def coverage_radii(self) -> list[float]:
+        return [o.radius for o in self.outcomes if o.status != "failed"]
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord],
                      label: str = "custom") -> "TraceResult":
-        records = sorted(records, key=lambda r: r.radius)
-        radii = [r.radius for r in records]
-        return cls(label=label, records=records, attempted_radii=radii,
-                   coverage_radii=list(radii))
+        return cls(label, None, tuple(RadiusOutcome(r.radius, "point", r)
+                                      for r in sorted(records, key=lambda r: r.radius)))
 
 
 def make_record(prob: Problem, ybar: Sequence[float], x) -> TraceRecord:
@@ -195,9 +209,9 @@ def trace_tangency(prob: Problem, ybar: Sequence[float],
     schedule `cfg.radii()`, one warm-started chain per weight draw.
 
     Each chain holds one seeded weight draw over the whole schedule; chain
-    c at radius k warm starts from chain c at radius k-1. Radii where the
-    local solver fails are dropped; radii where the below-ybar slice is
-    judged empty still count as resolved coverage. Raises TraceError when
+    c at radius k warm starts from chain c at radius k-1. A radius where
+    the local solver fails counts for nothing; one where the below-ybar
+    slice is judged empty still counts as coverage. Raises TraceError when
     nothing converges. The chains run as independent units of
     `pipeline.run`.
     """
@@ -207,8 +221,8 @@ def trace_tangency(prob: Problem, ybar: Sequence[float],
 
 def chain_stage(prob: Problem, ybar: Sequence[float],
                 cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
-    """The chains of `trace_tangency`, one unit each; the stage's result
-    lists each chain with its MFCQ probes, (points probed, failures)."""
+    """The chains of `trace_tangency`, one unit each; the stage's result is
+    the list of their traces."""
     # one weight vector per chain, held fixed across the whole schedule:
     # redrawing per radius makes a chain chase a different Pareto point at
     # every step and destroys the f-convergence the classifier looks for
@@ -218,46 +232,40 @@ def chain_stage(prob: Problem, ybar: Sequence[float],
                        for c, w in enumerate(chain_weights)), list)
 
 
-def covered_chains(chains) -> list[TraceResult]:
+def covered_chains(traces: list[TraceResult]) -> list[TraceResult]:
     """The traces of `chain_stage`'s result; raises TraceError when no
     radius converged in any chain."""
-    traces = [trace for trace, _ in chains]
     if not any(trace.coverage_radii for trace in traces):
         raise TraceError("no radius converged in any chain")
     return traces
 
 
-def _trace_chain(prob, ybar, weights, c, cfg) -> tuple[TraceResult, tuple[int, list[dict]]]:
+def _trace_chain(prob, ybar, weights, c, cfg) -> TraceResult:
     """Chain c: its fixed weight over the whole schedule, each radius warm
     started from the chain's last point, seeds [_CHAIN_SEED, ridx, c]. MFCQ
-    is probed at every point the chain produced and at every projected
-    start that reached its slice, in the order they were made."""
-    chain = TraceResult(label=f"pareto-chain-{c:02d}")
-    probes = []     # (radius, point)
+    is probed, once the schedule is resolved, at every point the chain
+    produced and every projected start that reached its slice, in order."""
+    resolved = []   # (radius, status, record, points to probe)
     prev = None
     for ridx, r in enumerate(cfg.radii()):
-        chain.attempted_radii.append(r)
-        status, x, starts = _resolve_radius(prob, r, weights, ybar, prev, cfg,
+        status, x, points = _resolve_radius(prob, r, weights, ybar, prev, cfg,
                                             seed=[_CHAIN_SEED, ridx, c])
-        probes.extend((r, start) for start in starts)
-        if status == "empty":
-            # the below-ybar slice at this radius looks empty from every
-            # projected start: resolved coverage with no point
-            chain.coverage_radii.append(r)
-            continue
-        if status != "point":
-            continue
-        probes.append((r, x))
-        chain.records.append(make_record(prob, ybar, x))
-        chain.coverage_radii.append(r)
-        prev = x
-    failures = []
-    for r, x in probes:
-        report = mfcq_probe(prob, x)
-        if not report.holds:
-            failures.append({"radius": r, "x": [float(t) for t in x],
-                             "gradient_rank": report.gradient_rank, "margin": report.margin})
-    return chain, (len(probes), failures)
+        record = make_record(prob, ybar, x) if status == "point" else None
+        if record is not None:
+            points.append(x)
+            prev = x
+        resolved.append((r, status, record, points))
+    outcomes = []
+    for r, status, record, points in resolved:
+        failures = []
+        for x in points:
+            report = mfcq_probe(prob, x)
+            if not report.holds:
+                failures.append({"radius": r, "x": [float(t) for t in x],
+                                 "gradient_rank": report.gradient_rank, "margin": report.margin})
+        outcomes.append(RadiusOutcome(r, status, record, len(points), tuple(failures)))
+    return TraceResult(f"pareto-chain-{c:02d}", tuple(float(w) for w in weights),
+                       tuple(outcomes))
 
 
 def _chain_weight_draws(p: int, count: int, rng) -> list[np.ndarray]:
@@ -568,12 +576,12 @@ def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult]
     """
     if len(ybar) != prob.p:
         raise ClassifyError(f"ybar has {len(ybar)} entries, problem has p={prob.p}")
-    if not any(tr.coverage_radii for tr in traces):
+    radii = sorted({r for tr in traces for r in tr.coverage_radii})
+    if not radii:
         raise ClassifyError("empty traces: nothing to classify")
 
-    top_attained = max(max(tr.coverage_radii, default=0.0) for tr in traces)
-    covered = _coverage(traces, cfg.radii()[-1])
-    cands = _candidates(traces, top_attained)
+    covered = _coverage(radii, cfg.radii()[-1])
+    cands = _candidates(traces, radii[-1])
 
     # each condition's witness is the first candidate that fails it
     failing: dict[str, FailureWitness] = {}
@@ -607,8 +615,7 @@ def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult]
     return verdicts
 
 
-def _coverage(traces: Sequence[TraceResult], top: float) -> bool:
-    radii = sorted({r for tr in traces for r in tr.coverage_radii})
+def _coverage(radii: list[float], top: float) -> bool:
     return (len(radii) >= 4 and radii[-1] >= 0.99 * top
             and radii[-1] >= radii[0] * 10 ** _COVERAGE_DECADES)
 

@@ -3,7 +3,8 @@
 A single frozen dataclass flows through the evidence stages, which take
 `(prob, ybar, cfg)` alone, so the config a report echoes reproduces them.
 The tolerances that decide a certificate or a condition are constants of
-the module that decides with them, the same for every run.
+the module that decides with them, the same for every run, and so is the
+schedule's first radius, RADIUS_BASE.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 # keeps finite, would run a command for hours. The schedules the
 # tests, scripts and benchmarks use have at most 14 radii.
 _MAX_RADII = 100
+RADIUS_BASE = 10.0
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    # radius schedule r_k = radius_base * radius_factor**k
-    radius_base: float = 10.0
+    # radius schedule r_k = RADIUS_BASE * radius_factor**k
     radius_factor: float = 2.0
     radius_count: int = 14
     # randomness
@@ -49,38 +50,29 @@ class RunConfig:
         # every comparison is written so that NaN fails it
         if self.radius_count < 4:
             raise ValueError("radius schedule needs at least 4 entries")
-        if not (self.radius_base > 0 and self.radius_factor > 1):
-            raise ValueError("radius schedule must be positive and increasing")
+        if not self.radius_factor > 1:
+            raise ValueError("radius schedule must be increasing")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if min(self.weights_per_radius, self.weight_grid, self.starts_per_weight,
                self.section_budget) < 1:
             raise ValueError("budgets must be at least 1")
         # last, so NaN keeps the messages above; nor is a huge integer finite
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is float and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not abs(self.radius_factor) <= sys.float_info.max:
+            raise ValueError(f"radius_factor must be finite, got {self.radius_factor!r}")
         try:   # in floats, so an integer factor and a huge count fail at once
-            top = float(self.radius_base) * float(self.radius_factor) ** (self.radius_count - 1)
+            top = RADIUS_BASE * float(self.radius_factor) ** (self.radius_count - 1)
         except OverflowError:
             top = math.inf
-        if not top <= sys.float_info.max:
-            raise ValueError("radius schedule overflows: its largest radius, radius_base"
-                             " * radius_factor ** (radius_count - 1), is not finite")
-        # the sphere rows divide by r^2, so r^2 must be a normal float
+        # the sphere rows divide by r^2, so the largest r^2 must be finite
         if not top * top <= sys.float_info.max:
-            raise ValueError("radius schedule overflows: the square of its largest"
-                             " radius is not finite")
-        base = float(self.radius_base)
-        if not base * base >= sys.float_info.min:
-            raise ValueError("radius schedule underflows: radius_base ** 2 is below"
-                             " the smallest normal float")
+            raise ValueError("radius schedule overflows: the square of its largest radius,"
+                             " RADIUS_BASE * radius_factor ** (radius_count - 1), is not finite")
         if self.radius_count > _MAX_RADII:
             raise ValueError(f"radius schedule has more than {_MAX_RADII} radii")
 
     def radii(self) -> list[float]:
-        return [self.radius_base * self.radius_factor ** k
+        return [RADIUS_BASE * self.radius_factor ** k
                 for k in range(self.radius_count)]
 
     def replace(self, **kwargs) -> "RunConfig":

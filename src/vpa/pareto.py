@@ -5,7 +5,7 @@ constraint-qualification evidence and the asymptotic classification, and
 `existence_verdict` adds section evidence and the front. A front's archive is
 the list of its accepted entries after one `nondominated_filter` pass. The
 tangency chains (`chain_stage`) are the one source of far-out points of S:
-their units make the MFCQ probes, and their records in the section join the
+their traces hold the MFCQ probes, and their records in the section join the
 seeded descents' section samples. Every stage takes `(prob, ybar, cfg)` alone.
 """
 
@@ -284,12 +284,12 @@ def _section_samples(prob: Problem, ybar, points) -> tuple[int, list]:
 
 
 def _section_report(prob: Problem, ybar, descents: list[tuple[int, list]],
-                    chains, cfg: RunConfig) -> SectionReport:
+                    chains: list[TraceResult], cfg: RunConfig) -> SectionReport:
     """The section evidence of the descents' samples and of the records of
     `chain_stage`'s result that pass the section's own test. A record's
     `below_ybar` flag has the slack `_ybar_slack(radius)`, which grows with
     the radius, so each record is tested again at TOL_ACTIVE."""
-    points = [rec.point for rec in flatten_records(chain for chain, _ in chains)]
+    points = [rec.point for rec in flatten_records(chains)]
     parts = [*descents, _section_samples(prob, ybar, points)]
     checked = sum(count for count, _ in parts)
     samples = [sample for _, found in parts for sample in found]
@@ -345,18 +345,18 @@ class MfcqEvidence:
     failures: list[dict] = field(default_factory=list)
 
 
-def _mfcq_evidence(chains) -> MfcqEvidence:
-    """The constraint qualification evidence of the MFCQ probes in
-    `chain_stage`'s result.
+def _mfcq_evidence(chains: list[TraceResult]) -> MfcqEvidence:
+    """The constraint qualification evidence of the MFCQ probes of
+    `chain_stage`'s traces, chain by chain and radius by radius.
 
     Sampled evidence only: a verdict of True means every probed large-norm
     point passed, not that the qualification is proven.
     """
-    checked = sum(count for _, (count, _) in chains)
+    checked = sum(o.probes for chain in chains for o in chain.outcomes)
     if checked == 0:
         return MfcqEvidence(holds=False, points_checked=0,
                             failures=[{"error": "no feasible points sampled"}])
-    failures = [failure for _, (_, found) in chains for failure in found]
+    failures = [f for chain in chains for o in chain.outcomes for f in o.failures]
     return MfcqEvidence(holds=not failures, points_checked=checked, failures=failures)
 
 

@@ -10,8 +10,9 @@ import sympy
 from conftest import LIGHT_CONFIG, PROBLEMS
 from test_acceptance import SCHEDULE_CONFIG
 from vpa import Problem, asymptotics, load_problem, make_record, pipeline
-from vpa.asymptotics import (TraceRecord, TraceResult, classify, flatten_records,
-                             trace_csv, trace_from_points, trace_tangency)
+from vpa.asymptotics import (RadiusOutcome, TraceRecord, TraceResult, classify,
+                             flatten_records, trace_csv, trace_from_points,
+                             trace_tangency)
 from vpa.errors import ClassifyError, ProjectionError, TraceError
 from vpa.pareto import STATUS_INAPPLICABLE, existence_verdict
 from vpa.polynomials import Polynomial
@@ -73,6 +74,19 @@ class TestCustomRay:
         with pytest.raises(TraceError):
             trace_from_points(prob, ybar, [np.array([-1.0, -1.0, 0.0])])
 
+    def test_a_hand_built_trace_has_one_point_per_record(self, hyperbola):
+        # no weight, no probes, and the records sorted by radius
+        prob, ybar = hyperbola
+        trace = trace_from_points(prob, ybar, hyperbola_ray([100.0, 10.0, 1e3]))
+        assert trace.weight is None
+        radii = [o.radius for o in trace.outcomes]
+        assert radii == sorted(radii) and len(radii) == 3
+        assert [o.status for o in trace.outcomes] == ["point"] * 3
+        assert all((o.probes, o.failures) == (0, ()) and o.record.radius == o.radius
+                   for o in trace.outcomes)
+        assert trace.records == [o.record for o in trace.outcomes]
+        assert trace.coverage_radii == radii
+
 
 class TestTraceTangency:
     def test_points_sit_on_the_degenerate_axis(self, degenerate_line,
@@ -117,6 +131,34 @@ class TestTraceTangency:
         prob, ybar = degenerate_line
         traces = trace_tangency(prob, ybar, light_config)
         assert flatten_records(traces) and calls
+
+    def test_hyperbola_chains(self, hyperbola, light_config):
+        # each chain holds its seeded weight draw and resolves every radius
+        # with a point; its records' f-values (to 6 decimals) and tangency
+        # flags are pinned
+        prob, ybar = hyperbola
+        traces = trace_tangency(prob, ybar, light_config)
+        rng = np.random.default_rng([light_config.seed, asymptotics._CHAIN_SEED])
+        draws = asymptotics._chain_weight_draws(prob.p, light_config.weights_per_radius, rng)
+        assert [tr.weight for tr in traces] == [tuple(map(float, w)) for w in draws]
+        limit = [-1.0, 1.0]
+        expected = [
+            ([[-1.0, 1.010001], [-1.0, 1.0001], [-1.0, 1.000001], limit, limit],
+             [True] * 5),
+            ([[-1.410638, 2.0], [-1.414178, 2.0], [-1.414213, 2.0], [-1.0, 2.0],
+              [-1.0, 2.0]], [True, True, True, False, False]),
+            ([[-1.399822, 1.9696], [-1.399965, 1.960002], [-1.399965, 1.959903],
+              [-1.399965, 1.959902], [-1.399965, 1.959902]], [True] * 5),
+            ([[-1.0, 1.010001], [-1.0, 1.0001], [-1.0, 1.000001], limit, limit],
+             [True] * 5),
+        ]
+        for tr, (fvals, tangency) in zip(traces, expected, strict=True):
+            assert tr.coverage_radii == light_config.radii()
+            assert [o.status for o in tr.outcomes] == ["point"] * 5
+            assert [rec.radius for rec in tr.records] == pytest.approx(light_config.radii())
+            assert np.allclose([rec.f_value for rec in tr.records], fvals,
+                               rtol=0, atol=1e-6)
+            assert [rec.in_tangency for rec in tr.records] == tangency
 
     def test_radii_must_increase(self, light_config):
         # the chains run on the config's schedule, and a config refuses one
@@ -405,10 +447,12 @@ class TestCsvExport:
     def test_rows_follow_the_traces(self):
         # sorting by (radius, point) would put b's records first, and the
         # order of the two radius-10 records would rest on x1's last bits
-        def record(radius, point):
-            return TraceRecord(radius, point, (0.0,), 0.0, 0.0, True, True)
-        a = TraceResult("a", [record(10.0, (1e-15, 10.0))])
-        b = TraceResult("b", [record(10.0, (-1e-15, 10.0)), record(5.0, (5.0, 0.0))])
+        def trace(label, *points):
+            records = [TraceRecord(r, x, (0.0,), 0.0, 0.0, True, True) for r, x in points]
+            return TraceResult(label, None, tuple(RadiusOutcome(rec.radius, "point", rec)
+                                                  for rec in records))
+        a = trace("a", (10.0, (1e-15, 10.0)))
+        b = trace("b", (10.0, (-1e-15, 10.0)), (5.0, (5.0, 0.0)))
         records = flatten_records([a, b])
         assert records == [*a.records, *b.records]
         rows = list(csv.reader(io.StringIO(trace_csv(records, 2, 1))))
@@ -533,7 +577,7 @@ class TestResolveRadius:
         monkeypatch.setattr(asymptotics, "project_to_sphere_slice",
                             lambda *args: landed.append(real(*args)) or landed[-1])
         r = cfg.radii()[0]
-        chain, _ = asymptotics._trace_chain(prob, ybar, np.array([0.5, 0.5]), 0, cfg)
+        chain = asymptotics._trace_chain(prob, ybar, np.array([0.5, 0.5]), 0, cfg)
         assert chain.coverage_radii == cfg.radii()
         rng = np.random.default_rng([cfg.seed, asymptotics._CHAIN_SEED, 0, 0, 0])
         direct = project_to_sphere_slice(prob, r, r * random_unit_vector(rng, prob.n))

@@ -252,14 +252,14 @@ class TestInputValidation:
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"radius_base": -1}))
+        cfg.write_text(json.dumps({"radius_factor": -1}))
         assert run(["eval", "--problem", PROBLEMS / "motzkin.json",
                     "--config", cfg, "--at", "1,1",
                     "--out", tmp_path / "out"]) == EXIT_INPUT
 
-    # the tolerances, the norm cap and the projection's iteration count are
-    # constants, not config fields: a config that names one is refused as an
-    # unknown key, whatever its value
+    # the tolerances, the norm cap, the projection's iteration count and the
+    # schedule's first radius are constants, not config fields: a config that
+    # names one is refused as an unknown key, whatever its value
     @pytest.mark.parametrize("data, field", [
         pytest.param({"divergence_cap": -1.0}, "unknown config keys: divergence_cap",
                      id="negative-cap"),
@@ -274,16 +274,20 @@ class TestInputValidation:
                      id="inf-tolerance"),
         pytest.param({"divergence_cap": math.inf}, "unknown config keys: divergence_cap",
                      id="inf-cap"),
-        pytest.param({"radius_base": math.inf}, "radius_base must be finite", id="inf-base"),
+        pytest.param({"radius_base": math.inf}, "unknown config keys: radius_base",
+                     id="inf-base"),
         pytest.param({"radius_factor": math.inf}, "radius_factor must be finite",
                      id="inf-factor"),
         pytest.param({"tol_margin": 10 ** 400}, "unknown config keys: tol_margin",
                      id="integer-tolerance-overflows"),
-        pytest.param({"radius_base": 10 ** 400}, "radius_base must be finite",
+        pytest.param({"radius_base": 10 ** 400}, "unknown config keys: radius_base",
                      id="integer-base-overflows"),
+        pytest.param({"radius_factor": 10 ** 400}, "radius_factor must be finite",
+                     id="integer-factor-overflows"),
         pytest.param({"radius_factor": 1e300}, "radius schedule overflows",
                      id="schedule-overflows"),
-        pytest.param({"radius_base": 1e308}, "radius schedule overflows",
+        # 5e102 ** 3 is finite; times RADIUS_BASE it rounds to inf
+        pytest.param({"radius_factor": 5e102, "radius_count": 4}, "radius schedule overflows",
                      id="schedule-overflows-to-inf"),
         pytest.param({"radius_factor": 2, "radius_count": 10 ** 12},
                      "radius schedule overflows", id="integer-schedule-overflows"),
@@ -291,11 +295,8 @@ class TestInputValidation:
                      "radius schedule overflows", id="integer-count-overflows"),
         pytest.param({"radius_factor": 1.000001, "radius_count": 10 ** 8},
                      "radius schedule has more than 100 radii", id="too-many-radii"),
-        pytest.param({"radius_base": 1e-300}, "radius schedule underflows",
-                     id="square-underflows"),
-        pytest.param({"radius_base": 1e-160}, "radius schedule underflows",
-                     id="square-is-subnormal"),
-        pytest.param({"radius_base": 1e300, "radius_factor": 1.5, "radius_count": 4},
+        # the largest radius, 1e181, is finite; its square is not
+        pytest.param({"radius_factor": 1e60, "radius_count": 4},
                      "radius schedule overflows: the square", id="square-overflows"),
         pytest.param({"seed": -1}, "seed", id="negative-seed"),
         pytest.param({"projection_restarts": -3}, "unknown config keys: projection_restarts",
@@ -320,7 +321,8 @@ class TestInputValidation:
                      id="string-tolerance"),
         pytest.param({"divergence_cap": None}, "unknown config keys: divergence_cap",
                      id="null-cap"),
-        pytest.param({"radius_base": "x"}, "radius_base must be a number", id="string-base"),
+        pytest.param({"radius_base": "x"}, "unknown config keys: radius_base",
+                     id="string-base"),
         pytest.param({"radius_factor": None}, "radius_factor must be a number",
                      id="null-factor"),
         pytest.param({"radius_count": 4.5}, "radius_count must be an integer",
@@ -342,7 +344,7 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
-        pytest.param('{"radius_base": 1e999}', id="number-overflows"),
+        pytest.param('{"radius_factor": 1e999}', id="number-overflows"),
         pytest.param("[" * 100_000, id="nested-too-deeply"),
     ])
     def test_malformed_config_file_is_input_error(self, tmp_path, capsys, text):
@@ -474,7 +476,7 @@ class TestPipelineCommands:
         # the config a report embeds is the whole input of its evidence: the
         # library, given that config alone, gathers the same evidence
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({**LIGHT, "seed": 5, "radius_base": 8.0}))
+        config.write_text(json.dumps({**LIGHT, "seed": 5, "radius_factor": 8.0}))
         problem = PROBLEMS / "hyperbola.json"
         prob, ybar = load_problem(problem)
         reports = {}

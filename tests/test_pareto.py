@@ -369,6 +369,21 @@ class TestMfcqEvidence:
         assert evidence.holds and not evidence.failures
         assert evidence.points_checked == 3 * 4 * 5
 
+    def test_motzkin_probes_sit_on_empty_radii(self, motzkin, light_config):
+        # each chain's trace keeps its probes radius by radius: every radius
+        # is an empty slice with its 3 projected starts, and the evidence
+        # counts exactly these
+        prob, ybar = motzkin
+        (read_chains,) = pipeline.run(pareto.chain_stage(prob, ybar, light_config))
+        chains = read_chains()
+        assert len(chains) == 4
+        for chain in chains:
+            assert [(o.status, o.probes) for o in chain.outcomes] == [("empty", 3)] * 5
+            assert chain.records == [] and chain.coverage_radii == light_config.radii()
+        evidence = pareto._mfcq_evidence(chains)
+        assert evidence.points_checked == sum(
+            o.probes for chain in chains for o in chain.outcomes) == 60
+
     def test_hyperbola_holds(self, hyperbola, light_config):
         prob, ybar = hyperbola
         evidence, _ = classify_evidence(prob, ybar, light_config)
@@ -390,9 +405,10 @@ class TestMfcqEvidence:
     def test_probes_outlive_failed_chains(self, monkeypatch, light_config):
         # when no chain resolves a radius the verdict notes it, but the
         # probes made on the way still reach the MFCQ evidence
-        probes = (3, [{"radius": 10.0, "x": [0.0], "gradient_rank": 0, "margin": None}])
+        failures = ({"radius": 10.0, "x": [0.0], "gradient_rank": 0, "margin": None},)
+        failed = asymptotics.RadiusOutcome(10.0, "failed", None, 3, failures)
         monkeypatch.setattr(pareto, "chain_stage", lambda *a, **k: Stage(
-            (), lambda values: [(asymptotics.TraceResult(label="stub"), probes)]))
+            (), lambda values: [asymptotics.TraceResult("stub", None, (failed,))]))
         monkeypatch.setattr(pareto, "front_stage",
                             lambda *a, **k: Stage((), lambda values: []))
         prob = Problem(n=1, objectives=(parse("x1^2", 1),))
@@ -402,7 +418,7 @@ class TestMfcqEvidence:
             "sphere tracking failed: no radius converged in any chain"]
         assert report.verdicts == {}
         assert (report.mfcq.holds, report.mfcq.points_checked) == (False, 3)
-        assert report.mfcq.failures == probes[1]
+        assert report.mfcq.failures == list(failures)
 
 
 class TestExistenceVerdict:
@@ -410,10 +426,10 @@ class TestExistenceVerdict:
     def cheap_stages(self, monkeypatch):
         """Stub the sampling stages so only the classify handling runs: one
         chain resolved at one radius, with no MFCQ probe."""
-        chain = asymptotics.TraceResult(label="stub", attempted_radii=[10.0],
-                                        coverage_radii=[10.0])
+        chain = asymptotics.TraceResult(
+            "stub", None, (asymptotics.RadiusOutcome(10.0, "empty"),))
         monkeypatch.setattr(pareto, "chain_stage",
-                            lambda *a, **k: Stage((), lambda handles: [(chain, (0, []))]))
+                            lambda *a, **k: Stage((), lambda handles: [chain]))
         monkeypatch.setattr(pareto, "front_stage",
                             lambda *a, **k: Stage((), lambda handles: []))
 

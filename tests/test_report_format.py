@@ -138,7 +138,7 @@ def test_zero_dimensional_array_is_its_scalar():
 
 class TestConfigHash:
     def test_hash_is_the_sha256_of_the_sorted_fields(self):
-        for cfg in (DEFAULT_CONFIG, RunConfig(seed=3), RunConfig(radius_base=10)):
+        for cfg in (DEFAULT_CONFIG, RunConfig(seed=3), RunConfig(radius_factor=3)):
             blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
             assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()
 
@@ -149,8 +149,9 @@ class TestConfigHash:
 
     def test_a_config_holds_the_schedule_the_seed_and_the_budgets(self):
         # the tolerances are constants of the modules that decide with them,
-        # so a report's config block holds eight fields
+        # and so is the schedule's first radius: a report's config block
+        # holds seven fields
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "radius_base", "radius_factor", "radius_count", "seed",
+            "radius_factor", "radius_count", "seed",
             "weights_per_radius", "weight_grid", "starts_per_weight",
             "section_budget"]
