@@ -33,10 +33,10 @@ from .errors import (ClassifyError, DivergenceError, InfeasiblePointError,
                      NonFiniteError, ProjectionError, TraceError)
 from .pipeline import Stage, run
 from .polynomials import _combine
-from .problem import (TOL_ACTIVE, TOL_FEAS, Problem, _slice_ok, _slice_residual,
+from .problem import (TOL_ACTIVE, Problem, _slice_ok, _slice_residual, check_ybar,
                       polish_to_slice, project_to_sphere_slice)
-from .solvers import (_EPS, DIVERGENCE_CAP, minimize_auglag, random_unit_vector,
-                      simplex_lattice)
+from .solvers import (_EPS, DIVERGENCE_CAP, TOL_FEAS, minimize_auglag,
+                      random_unit_vector, simplex_lattice)
 
 CONDITIONS = ("proper", "palais_smale", "cerami", "m_tame")
 
@@ -49,10 +49,11 @@ _TREND_SLACK = 1.001
 TOL_LIMIT, TOL_CLUSTER = 1e-4, 1e-3
 
 
-def below_ybar(fval: Sequence[float], ybar: Sequence[float], slack: float) -> bool:
-    """Componentwise f <= ybar with a small absolute-relative slack."""
-    return all(v <= y + slack * max(1.0, abs(y)) if math.isfinite(y) else True
-               for v, y in zip(fval, ybar))
+def below_ybar(fval: Sequence[float], ybar: Sequence[float]) -> bool:
+    """Componentwise f <= ybar to within TOL_ACTIVE * max(1, |ybar_k|): the one
+    test of "f <= ybar", for chain points and records, the section and the front."""
+    return all(v <= y + TOL_ACTIVE * max(1.0, abs(y)) for v, y in zip(fval, ybar)
+               if math.isfinite(y))
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,7 @@ class TraceResult:
 
 
 def make_record(prob: Problem, ybar: Sequence[float], x) -> TraceRecord:
-    """Certificate summary of one feasible point (raises if infeasible).
-
-    The below-ybar slack grows with the radius, matching what local solvers
-    can enforce on section cuts far out; witness limits carry the same
-    uncertainty either way.
-    """
+    """Certificate summary of one feasible point (raises if infeasible)."""
     x = prob._point(x)
     fval = prob.f(x)
     radius = float(np.linalg.norm(x))
@@ -122,12 +118,8 @@ def make_record(prob: Problem, ybar: Sequence[float], x) -> TraceRecord:
         rabier=rab,
         scaled_rabier=radius * rab,
         in_tangency=member,
-        below_ybar=below_ybar(fval, ybar, _ybar_slack(radius)),
+        below_ybar=below_ybar(fval, ybar),
     )
-
-
-def _ybar_slack(radius: float) -> float:
-    return TOL_ACTIVE + TOL_FEAS * max(1.0, radius)
 
 
 def trace_from_points(prob: Problem, ybar: Sequence[float], points, *,
@@ -168,12 +160,8 @@ def _sphere_subproblem(prob: Problem, r: float, weights: np.ndarray,
     # violation above TOL_FEAS at large radii no matter the penalty; the
     # Gauss-Newton polish and the final absolute acceptance gate restore
     # record-level accuracy afterwards
-    return minimize_auglag(
-        local, start,
-        tol_feas=TOL_FEAS,
-        tol_feas_loose=TOL_FEAS * max(1.0, r),
-        divergence_cap=max(DIVERGENCE_CAP, 10.0 * r),
-    )
+    return minimize_auglag(local, start, tol_feas_loose=TOL_FEAS * max(1.0, r),
+                           divergence_cap=max(DIVERGENCE_CAP, 10.0 * r))
 
 
 def _cut_rows(prob: Problem, ybar: Sequence[float]) -> dict[int, dict]:
@@ -223,6 +211,7 @@ def chain_stage(prob: Problem, ybar: Sequence[float],
                 cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
     """The chains of `trace_tangency`, one unit each; the stage's result is
     the list of their traces."""
+    check_ybar(ybar, prob.p)
     # one weight vector per chain, held fixed across the whole schedule:
     # redrawing per radius makes a chain chase a different Pareto point at
     # every step and destroys the f-convergence the classifier looks for
@@ -277,13 +266,6 @@ def _chain_weight_draws(p: int, count: int, rng) -> list[np.ndarray]:
     return draws
 
 
-def _slice_point_ok(prob, x, r, ybar):
-    if not _slice_ok(prob, x, r):
-        return False
-    # section cuts must stay satisfied when the trace is filtered to them
-    return below_ybar(prob.f(x), ybar, _ybar_slack(r))
-
-
 def _finish_point(prob, r, weights, ybar, x, active_from=None):
     """The KKT polish, then the slice polish unless the KKT-polished point
     is on the slice to rounding level: it passes `_slice_ok` and its slice
@@ -300,7 +282,7 @@ def _finish_point(prob, r, weights, ybar, x, active_from=None):
         polished = polish_to_slice(prob, x, r)
         if polished is not None:
             x = polished
-    return x if _slice_point_ok(prob, x, r, ybar) else None
+    return x if _slice_ok(prob, x, r) and below_ybar(prob.f(x), ybar) else None
 
 
 # a radius solves from at most _ATTEMPTS starts, projected from at most
@@ -574,8 +556,7 @@ def classify(prob: Problem, ybar: Sequence[float], traces: Sequence[TraceResult]
     a Cerami failure; any failure implies a properness failure since the
     witness has convergent f.
     """
-    if len(ybar) != prob.p:
-        raise ClassifyError(f"ybar has {len(ybar)} entries, problem has p={prob.p}")
+    check_ybar(ybar, prob.p)
     radii = sorted({r for tr in traces for r in tr.coverage_radii})
     if not radii:
         raise ClassifyError("empty traces: nothing to classify")

@@ -28,7 +28,7 @@ from .errors import (ClassifyError, DivergenceError, NonFiniteError,
                      SectionError, SolveError, TraceError)
 from .pipeline import Stage, run
 from .polynomials import _combine, _product
-from .problem import TOL_ACTIVE, TOL_FEAS, Problem, check_feasible
+from .problem import Problem, check_feasible, check_ybar
 from .solvers import _auglag_lanes, minimize_auglag, simplex_lattice
 
 STATUS_GUARANTEED = "existence guaranteed (evidence)"
@@ -105,7 +105,7 @@ def _scalarized_lanes(prob: Problem, draws) -> list[tuple]:
     weights = np.array([w for w, _ in draws], dtype=float)
     results = _auglag_lanes(
         prob._evaluate_batch, [x0 for _, x0 in draws], (prob.p, prob.l, prob.m),
-        weights, tol_feas=TOL_FEAS)
+        weights)
     return [_scalarized_outcome(prob, res) for res in results]
 
 
@@ -165,6 +165,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
     is the archive, the accepted entries after one `nondominated_filter`
     pass. Raises SolveError, counting the failures by kind, when every run
     fails."""
+    check_ybar(ybar, prob.p)
     draws = [(weights, start)
              for widx, weights in enumerate(_weight_draws(prob.p, cfg))
              for start in _starts(prob, cfg, widx)]
@@ -177,7 +178,7 @@ def front_stage(prob: Problem, ybar: Sequence[float],
                 continue
             x, residual = value
             fval = prob.f(x)
-            if not below_ybar(fval, ybar, TOL_ACTIVE):
+            if not below_ybar(fval, ybar):
                 continue
             out.append(ArchiveEntry(
                 x=tuple(float(t) for t in x),
@@ -222,7 +223,7 @@ def _section_descent(prob: Problem, ybar, start):
     cuts = [lift(c) | t for c in _cut_rows(prob, ybar).values()]
     local = Problem.local(prob.n + 1, t, map(lift, G), [*map(lift, H), *cuts])
     z0 = np.append(np.asarray(start, dtype=float), 1.0)
-    return minimize_auglag(local, z0, tol_feas=TOL_FEAS)
+    return minimize_auglag(local, z0)
 
 
 def section_probe(prob: Problem, ybar: Sequence[float],
@@ -239,13 +240,14 @@ def section_probe(prob: Problem, ybar: Sequence[float],
     """
     read_descents, read_chains = run(section_stage(prob, ybar, cfg),
                                      chain_stage(prob, ybar, cfg))
-    return _section_report(prob, ybar, read_descents(), read_chains(), cfg)
+    return _section_report(read_descents(), read_chains(), cfg)
 
 
 def section_stage(prob: Problem, ybar: Sequence[float],
                   cfg: RunConfig = DEFAULT_CONFIG) -> Stage:
     """The seeded descents of `section_probe`, max(1, section_budget // 8)
     units; the stage's result is their (points checked, samples) pairs."""
+    check_ybar(ybar, prob.p)
     if not any(math.isfinite(y) for y in ybar):
         raise ValueError("section_probe needs at least one finite ybar component")
     rng = np.random.default_rng([cfg.seed, 0x5EC, 1])
@@ -278,19 +280,23 @@ def _section_samples(prob: Problem, ybar, points) -> tuple[int, list]:
     out = []
     for x in points:
         fv = prob.f(x)
-        if below_ybar(fv, ybar, TOL_ACTIVE) and check_feasible(prob, x).feasible:
+        if below_ybar(fv, ybar) and check_feasible(prob, x).feasible:
             out.append((float(np.linalg.norm(x)), x, fv))
     return len(points), out
 
 
-def _section_report(prob: Problem, ybar, descents: list[tuple[int, list]],
-                    chains: list[TraceResult], cfg: RunConfig) -> SectionReport:
-    """The section evidence of the descents' samples and of the records of
-    `chain_stage`'s result that pass the section's own test. A record's
-    `below_ybar` flag has the slack `_ybar_slack(radius)`, which grows with
-    the radius, so each record is tested again at TOL_ACTIVE."""
-    points = [rec.point for rec in flatten_records(chains)]
-    parts = [*descents, _section_samples(prob, ybar, points)]
+def _record_samples(chains: list[TraceResult]) -> tuple[int, list]:
+    """`_section_samples` of the chains' record points, read off the records:
+    `_finish_point` checked their feasibility and their flag is `below_ybar`."""
+    records = flatten_records(chains)
+    return len(records), [(rec.radius, rec.point, rec.f_value)
+                          for rec in records if rec.below_ybar]
+
+
+def _section_report(descents: list[tuple[int, list]], chains: list[TraceResult],
+                    cfg: RunConfig) -> SectionReport:
+    """The section evidence of the descents' samples and the chains' records."""
+    parts = [*descents, _record_samples(chains)]
     checked = sum(count for count, _ in parts)
     samples = [sample for _, found in parts for sample in found]
     if not samples:
@@ -332,7 +338,7 @@ def _detect_value_escape(samples, top: float):
     last_reaches_top = any(r >= 0.099 * top for r, _, _ in samples)
     if drops >= len(mins) - 1 and last_reaches_top:
         # each decade's sample with the lowest value in any component
-        return [min(tiers[k], key=lambda s: s[2].min()) for k in keys]
+        return [min(tiers[k], key=lambda s: min(s[2])) for k in keys]
     return None
 
 
@@ -402,7 +408,7 @@ def _verify_ybar_membership(prob: Problem, ybar, cfg: RunConfig) -> str:
     for attempt in range(4):
         start = np.ones(prob.n) if attempt == 0 else 2.0 * rng.standard_normal(prob.n)
         try:
-            res = minimize_auglag(local, start, tol_feas=TOL_FEAS, gtol=1e-10)
+            res = minimize_auglag(local, start, gtol=1e-10)
         except (DivergenceError, NonFiniteError):
             continue
         if not res.converged:
@@ -442,7 +448,7 @@ def existence_verdict(prob: Problem, ybar: Sequence[float],
     section = None
     if finite:
         try:
-            section = _section_report(prob, ybar, read_descents(), chains, cfg)
+            section = _section_report(read_descents(), chains, cfg)
             section_bounded = section.bounded_evidence
         except SectionError as exc:
             notes.append(f"section probe failed: {exc}")

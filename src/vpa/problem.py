@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (DimensionMismatchError, NonFiniteError,
                      ProblemValidationError, ProjectionError)
 from .polynomials import MAX_VARS, Polynomial, _partials, parse
-from .solvers import gauss_newton
+from .solvers import TOL_FEAS, gauss_newton
 
-# feasibility: max |g| and max(0, -h) at most TOL_FEAS; an inequality with
-# |h_j| <= TOL_ACTIVE is active
-TOL_FEAS, TOL_ACTIVE = 1e-8, 1e-6
+# an inequality with |h_j| <= TOL_ACTIVE is active; `below_ybar` allows it too
+TOL_ACTIVE = 1e-6
 # the Gauss-Newton steps of one sphere-slice projection
 PROJECTION_MAX_ITER = 200
 
@@ -199,23 +198,20 @@ def evaluate_finite(prob: Problem, x) -> tuple[np.ndarray, ...]:
     return values
 
 
-def check_feasible(prob: Problem, x, tol_feas: float = TOL_FEAS,
-                   tol_active: float = TOL_ACTIVE) -> FeasibilityReport:
-    """Violations are max_i |g_i(x)| and max_j max(0, -h_j(x))."""
-    if tol_feas <= 0:
-        raise ValueError("tol_feas must be positive")
+def check_feasible(prob: Problem, x) -> FeasibilityReport:
+    """Violations are max_i |g_i(x)| and max_j max(0, -h_j(x)), both at most
+    TOL_FEAS at a feasible x; inequality j is active when |h_j(x)| <= TOL_ACTIVE."""
     _, gv, hv, _, _, _ = prob.evaluate(x)
-    return _feasibility(gv, hv, tol_feas, tol_active)
+    return _feasibility(gv, hv)
 
 
-def _feasibility(gv, hv, tol_feas: float = TOL_FEAS,
-                 tol_active: float = TOL_ACTIVE) -> FeasibilityReport:
+def _feasibility(gv, hv) -> FeasibilityReport:
     """`check_feasible`'s report from the values g(x), h(x) already in hand."""
     eq_viol = float(np.max(np.abs(gv))) if gv.size else 0.0
     ineq_viol = max(0.0, float(np.max(-hv))) if hv.size else 0.0
-    active = tuple(int(j) for j in np.nonzero(np.abs(hv) <= tol_active)[0])
+    active = tuple(int(j) for j in np.nonzero(np.abs(hv) <= TOL_ACTIVE)[0])
     return FeasibilityReport(
-        feasible=eq_viol <= tol_feas and ineq_viol <= tol_feas,
+        feasible=eq_viol <= TOL_FEAS and ineq_viol <= TOL_FEAS,
         max_equality_violation=eq_viol,
         max_inequality_violation=ineq_viol,
         active=active,
@@ -357,19 +353,24 @@ def parse_ybar(entries, p: int) -> tuple[float, ...]:
                 f"ybar entry {entry!r} is neither a number nor '+inf'") from None
         except OverflowError:      # an integer beyond the range of a double
             value = math.inf
-        if math.isnan(value) or value == -math.inf:
-            raise ProblemValidationError(
-                f"ybar entry {entry!r} is NaN or -inf; ybar takes finite "
-                f"numbers or '+inf'")
         if value == math.inf and not _infinity_token(entry):
             raise ProblemValidationError(
                 f"ybar entry {entry!r} overflows to infinity; ybar takes finite "
                 f"numbers or '+inf'")
         out.append(value)
-    if len(out) != p:
-        raise ProblemValidationError(
-            f"ybar has {len(out)} entries, problem has {p} objectives")
-    return tuple(out)
+    return check_ybar(out, p, entries)
+
+
+def check_ybar(ybar, p: int, entries=None) -> tuple[float, ...]:
+    """ybar as a tuple, refusing a length other than p and a NaN or -inf entry
+    (named as `entries` spells it) with ProblemValidationError; +inf is allowed."""
+    for value, entry in zip(ybar, entries or ybar):
+        if math.isnan(value) or value == -math.inf:
+            raise ProblemValidationError(f"ybar entry {entry!r} is NaN or -inf; ybar "
+                                         f"takes finite numbers or '+inf'")
+    if len(ybar) != p:
+        raise ProblemValidationError(f"ybar has {len(ybar)} entries, problem has {p} objectives")
+    return tuple(ybar)
 
 
 def _infinity_token(entry) -> bool:

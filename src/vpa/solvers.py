@@ -85,6 +85,8 @@ _nnls = _load_kernel("_slsqplib").nnls     # (A, b, maxiter) -> (x, rnorm, info)
 
 _EPS = np.finfo(float).eps
 
+# the largest violation of a feasible point: the auglag stop and `check_feasible`
+TOL_FEAS = 1e-8
 # the augmented Lagrangian's budget (MAX_OUTER subproblems of at most
 # INNER_MAXITER L-BFGS-B iterations) and penalty (RHO0, then times
 # RHO_GROWTH up to RHO_MAX)
@@ -272,8 +274,8 @@ def minimize_auglag(local, x0, **options) -> AuglagResult:
 
 
 def _auglag_lanes(product, starts, sizes, weights=None, *,
-                  tol_feas: float = 1e-8, tol_feas_loose: float | None = None,
-                  gtol: float = 1e-9, divergence_cap: float = DIVERGENCE_CAP) -> list:
+                  tol_feas_loose: float | None = None, gtol: float = 1e-9,
+                  divergence_cap: float = DIVERGENCE_CAP) -> list:
     """The augmented Lagrangian from each start, as lanes in lockstep.
 
     Each lane is a PHR iteration whose subproblems `_lbfgsb` minimizes (at
@@ -292,8 +294,8 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
     or an infinity ends with NonFiniteError.
 
     Stationarity is judged relative to the local gradient scale,
-    feasibility absolutely. tol_feas is the target; tol_feas_loose
-    (>= tol_feas) is a fallback acceptance when the budget runs out or the
+    feasibility absolutely. TOL_FEAS is the target; tol_feas_loose
+    (>= TOL_FEAS) is a fallback acceptance when the budget runs out or the
     iterate stalls, for constraint sets whose violation cannot reach the
     target at any bounded penalty (rank-deficient gradients). Callers using
     the loose tier should re-polish and re-check the result.
@@ -314,7 +316,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
     RHO = np.hstack([np.zeros((count, P)), np.full((count, L + M), RHO0)])
     CAP = np.hstack([np.full((count, P + L), np.inf), np.zeros((count, M))])
     high = np.r_[np.full(P + L, np.inf), np.zeros(M)]
-    loose = tol_feas if tol_feas_loose is None else max(tol_feas, tol_feas_loose)
+    loose = TOL_FEAS if tol_feas_loose is None else max(TOL_FEAS, tol_feas_loose)
 
     def phr(x, y, nu, penalty, cap):
         """One lane: the PHR iteration from x, as a generator. It yields
@@ -342,7 +344,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
             gscale = max(1.0, *(float(np.max(np.abs(J), initial=0.0)) for J in (Jf, Je, Jc)))
             stationarity = float(np.max(np.abs(al_grad))) if al_grad.size else 0.0
 
-            if viol <= tol_feas and stationarity <= gtol * gscale:
+            if viol <= TOL_FEAS and stationarity <= gtol * gscale:
                 outcome = "converged"
                 break
             # stuck at an acceptable point: take it once the iterate stops
@@ -358,7 +360,7 @@ def _auglag_lanes(product, starts, sizes, weights=None, *,
                 feasible_stall = 0
             prev_x = x.copy()
             # multiplier / penalty updates
-            if viol <= max(tol_feas, 0.25 * prev_violation):
+            if viol <= max(TOL_FEAS, 0.25 * prev_violation):
                 y_new = y - rho * ev
                 nu_new = np.maximum(0.0, nu - rho * cv)
                 caps = [np.max(np.abs(y_new), initial=0.0),

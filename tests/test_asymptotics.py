@@ -45,6 +45,14 @@ class TestRecords:
         above = make_record(prob, ybar, [1.0, 1.0, 0.0])   # f1 = 0 > -1
         assert below.below_ybar and not above.below_ybar
 
+    def test_far_out_flag_has_no_radius_slack(self, hyperbola):
+        # f1 = -0.99999 exceeds ybar1 = -1 by 1e-5 at radius 1e5: above ybar,
+        # as the section and the front judge it, whatever the radius
+        prob, _ = hyperbola
+        rec = make_record(prob, (-1.0, 2.0), (1e5, 1e-5, -1.0 + 1e-5))
+        assert rec.radius == pytest.approx(1e5)
+        assert not rec.below_ybar
+
 
 class TestCustomRay:
     def test_rabier_decays_like_derived_rate(self, hyperbola):

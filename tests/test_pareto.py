@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from vpa import (DEFAULT_CONFIG, Problem, check_feasible, parse, rabier_value,
                  section_probe, solve_front, solve_scalarized)
 from vpa import asymptotics, pareto, pipeline
 from vpa.errors import (ClassifyError, DivergenceError, NonFiniteError,
-                        SectionError, SolveError)
+                        ProblemValidationError, SectionError, SolveError)
 from vpa.certificates import TOL_MARGIN
 from vpa.pareto import (TOL_STATIONARY, ArchiveEntry, classify_evidence,
                         existence_verdict, nondominated_filter)
@@ -330,6 +331,19 @@ class TestSectionProbe:
         with pytest.raises(ValueError):
             section_probe(prob, INF2, light_config.replace(section_budget=8))
 
+    def test_record_samples_match_a_second_evaluation(self, hyperbola, light_config):
+        # the section reads the chains' records as they are; testing their
+        # points again gives the same samples, bit for bit
+        prob, ybar = hyperbola
+        (read_chains,) = pipeline.run(asymptotics.chain_stage(prob, ybar, light_config))
+        chains = read_chains()
+        points = [rec.point for rec in asymptotics.flatten_records(chains)]
+        count, samples = pareto._record_samples(chains)
+        again_count, again = pareto._section_samples(prob, ybar, points)
+        assert count == again_count == len(points) and samples
+        assert [(norm, tuple(x), tuple(fv)) for norm, x, fv in samples] \
+            == [(norm, tuple(x), tuple(float(v) for v in fv)) for norm, x, fv in again]
+
 
 class TestChainStage:
     """The tangency chains are the one source of far-out points: a command
@@ -419,6 +433,34 @@ class TestMfcqEvidence:
         assert report.verdicts == {}
         assert (report.mfcq.holds, report.mfcq.points_checked) == (False, 3)
         assert report.mfcq.failures == list(failures)
+
+
+class TestLibraryYbar:
+    """The library entry points check ybar as `parse_ybar` does: +inf is a
+    bound, a wrong length, NaN and -inf are input errors, not truncated by
+    zip, read as +inf or left to fail with an IndexError."""
+
+    @pytest.mark.parametrize("ybar, message", [
+        ((-math.inf, 2.0), "-inf is NaN or -inf"),
+        ((math.nan, 2.0), "nan is NaN or -inf"),
+        ((2.0,), "ybar has 1 entries, problem has 2 objectives"),
+        ((-1.0, 2.0, 3.0), "ybar has 3 entries, problem has 2 objectives"),
+    ])
+    @pytest.mark.parametrize("entry", ["solve_front", "section_probe", "trace_tangency",
+                                       "existence_verdict", "classify"])
+    def test_bad_ybar_is_refused(self, hyperbola, light_config, entry, ybar, message):
+        prob, good = hyperbola
+        run_entry = {
+            "solve_front": lambda: solve_front(prob, ybar, light_config),
+            "section_probe": lambda: section_probe(prob, ybar, light_config),
+            "trace_tangency": lambda: asymptotics.trace_tangency(prob, ybar, light_config),
+            "existence_verdict": lambda: existence_verdict(prob, ybar, light_config),
+            "classify": lambda: asymptotics.classify(prob, ybar, [
+                asymptotics.trace_from_points(prob, good, [[10.0, 0.1, -1.0]])],
+                light_config),
+        }[entry]
+        with pytest.raises(ProblemValidationError, match=re.escape(message)):
+            run_entry()
 
 
 class TestExistenceVerdict:

@@ -243,7 +243,7 @@ class TestHessians:
 class TestCheckFeasible:
     def test_degenerate_line_point(self, degenerate_line):
         prob, _ = degenerate_line
-        report = check_feasible(prob, [0.0, 0.0, 9.0], 1e-8)
+        report = check_feasible(prob, [0.0, 0.0, 9.0])
         assert report.feasible
         assert report.active == (0,)
         assert report.max_equality_violation == 0.0
@@ -268,19 +268,6 @@ class TestCheckFeasible:
         for x in ([0.0, 3.0], [1.0, 1.0], [-0.5, 2.0]):
             assert (check_feasible(prob, x).feasible
                     == check_feasible(doubled, x).feasible)
-
-    def test_active_set_monotone_in_tolerance(self, motzkin):
-        prob, _ = motzkin
-        x = [1e-5, 2.0]
-        small = set(check_feasible(prob, x, tol_active=1e-8).active)
-        large = set(check_feasible(prob, x, tol_active=1e-3).active)
-        assert small <= large
-        assert 0 in large and 0 not in small
-
-    def test_tolerance_must_be_positive(self, motzkin):
-        prob, _ = motzkin
-        with pytest.raises(ValueError):
-            check_feasible(prob, [1.0, 1.0], tol_feas=0.0)
 
 
 class TestProjection:
